@@ -31,7 +31,6 @@ from .coreset import (
 from .dataset import (
     Dataset,
     DatasetFormatError,
-    WeightedPoint,
     as_dataset,
     gen_adversarial_gaussian,
     gen_gaussian_mixture,
@@ -67,7 +66,6 @@ __all__ = [
     "SensitivityDistribution",
     "VARIANTS",
     "WeightedCoreset",
-    "WeightedPoint",
     "as_dataset",
     "assign_to_sorted_centers",
     "boosted_prone",

@@ -11,9 +11,11 @@ shared by everything that samples proportionally to powered distances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["as_generator", "power_abs", "padded_pairwise_sum"]
+__all__ = ["as_generator", "check_z", "power_abs", "padded_pairwise_sum"]
 
 
 def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Generator:
@@ -25,6 +27,17 @@ def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Gene
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.Generator(np.random.Philox(rng))
+
+
+def check_z(z):
+    """Return ``z`` unchanged if it is a finite exponent >= 1, else raise.
+
+    NaN and infinity would otherwise flow into the power transform and
+    surface as a nan or inf cost, or as an unrelated mass error.
+    """
+    if not (z >= 1 and math.isfinite(z)):
+        raise ValueError(f"z={z} must be finite and >= 1")
+    return z
 
 
 def power_abs(diff: np.ndarray, z: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import as_generator, padded_pairwise_sum
+from ._util import as_generator, check_z, padded_pairwise_sum
 from .dataset import Dataset
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _CHUNK = 65536
+# rows per block of pointwise_assignment_costs; small, because each block
+# allocates a few (rows, d) temporaries on top of the caller's data
+_COST_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,9 @@ def cost_with_nearest(points, centers, z: float = 2.0, weights=None) -> float:
 def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> np.ndarray:
     """Powered distance of each point to its assigned center, O(nnz + kd).
 
-    Groups points by cluster so each center is combined with its own rows
-    only; never materializes an n x k distance matrix.
+    Works through fixed blocks of rows, pairing each row with its own
+    center, so temporaries stay O(block * d) and no n x k distance matrix
+    is ever formed.
     """
     mat, sparse = _as_matrix(points)
     c = _check_centers(centers)
@@ -156,23 +160,22 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
         raise ValueError("assignment must have one entry per point")
     if sigma.size and (sigma.min() < 0 or sigma.max() >= c.shape[0]):
         raise ValueError("assignment references a center outside [0, k)")
-    order = np.argsort(sigma, kind="stable")
-    sorted_sigma = sigma[order]
-    boundaries = np.searchsorted(sorted_sigma, np.arange(c.shape[0] + 1))
     d2 = np.empty(n, dtype=np.float64)
     if sparse:
-        xn = _row_sq_norms(mat, sparse)
         cn = np.einsum("ij,ij->i", c, c)
-    for j in range(c.shape[0]):
-        rows = order[boundaries[j] : boundaries[j + 1]]
-        if rows.size == 0:
-            continue
+    for lo in range(0, n, _COST_CHUNK):
+        hi = min(n, lo + _COST_CHUNK)
+        block, s = mat[lo:hi], sigma[lo:hi]
         if sparse:
-            cross = np.asarray(mat[rows] @ c[j]).ravel()
-            d2[rows] = np.maximum(xn[rows] - 2.0 * cross + cn[j], 0.0)
+            # per-row dot with its own center, summed in stored order
+            rows = np.repeat(np.arange(hi - lo), np.diff(block.indptr))
+            prods = block.data * c[s[rows], block.indices]
+            cross = np.bincount(rows, weights=prods, minlength=hi - lo)
+            xn = _row_sq_norms(block, sparse)
+            d2[lo:hi] = np.maximum(xn - 2.0 * cross + cn[s], 0.0)
         else:
-            diff = mat[rows] - c[j]
-            d2[rows] = np.einsum("ij,ij->i", diff, diff)
+            diff = block - c[s]
+            d2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
     return _power_from_sq(d2, z)
 
 
@@ -204,8 +207,7 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     n, d = mat.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
-    if z < 1:
-        raise ValueError(f"z={z} must be >= 1")
+    check_z(z)
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
@@ -274,6 +276,8 @@ def centers_of_mass(
     Returns (centers, relocated) where ``relocated`` lists the cluster ids
     that had no members (or zero total weight) and were therefore placed on
     the point farthest from its nearest nonempty mean, farthest first.
+    The sums are one product of a (k, n) one-hot matrix with the data, so
+    the lift is O(nnz + kd) for dense and sparse input alike.
     """
     mat, sparse = _as_matrix(points)
     sigma = np.asarray(assignment)
@@ -284,27 +288,14 @@ def centers_of_mass(
         raise ValueError("k must be >= 1")
     if sigma.size and (sigma.min() < 0 or sigma.max() >= k):
         raise ValueError("assignment references a cluster outside [0, k)")
-    if weights is None:
-        wsum = np.bincount(sigma, minlength=k).astype(np.float64)
-        if sparse:
-            onehot = sp.csr_matrix(
-                (np.ones(n), (sigma, np.arange(n))), shape=(k, n)
-            )
-            sums = np.asarray((onehot @ mat).todense())
-        else:
-            sums = np.empty((k, d), dtype=np.float64)
-            for j in range(d):
-                sums[:, j] = np.bincount(sigma, weights=mat[:, j], minlength=k)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        wsum = np.bincount(sigma, weights=w, minlength=k)
-        if sparse:
-            onehot = sp.csr_matrix((w, (sigma, np.arange(n))), shape=(k, n))
-            sums = np.asarray((onehot @ mat).todense())
-        else:
-            sums = np.empty((k, d), dtype=np.float64)
-            for j in range(d):
-                sums[:, j] = np.bincount(sigma, weights=w * mat[:, j], minlength=k)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    wsum = np.bincount(sigma, weights=w, minlength=k)
+    # one-hot with one stored entry per point, so each sum adds its
+    # cluster's points in input order, dense or sparse
+    onehot = sp.csc_matrix((w, sigma, np.arange(n + 1)), shape=(k, n))
+    sums = onehot @ mat
+    if sparse:
+        sums = sums.toarray()
 
     nonempty = wsum > 0
     centers = np.zeros((k, d), dtype=np.float64)

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import check_z
 from .baseline import cost_with_nearest, kmeanspp_seed, lloyd_iterate
 from .coreset import (
     boosted_prone,
@@ -104,6 +105,13 @@ def _variant_of(algo: str) -> str:
     return {"prone": "standard", "prone-variance": "variance", "prone-covariance": "covariance"}[
         algo
     ]
+
+
+def _z_exponent(text: str) -> float:
+    try:
+        return check_z(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -447,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("csv", "sparse"), default="csv")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--z", type=float, default=2.0)
+    p.add_argument("--z", type=_z_exponent, default=2.0)
     p.add_argument("--algo", choices=ALGORITHMS, default="prone")
     p.add_argument("--alpha", type=float, default=None, help="coreset fraction (boosted)")
     p.add_argument("--seed", type=int, default=0)
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True,
                    help=f"builtin name {BUILTIN_DATASETS} or a CSV path")
     p.add_argument("--ks", default="10", help="comma-separated k values")
-    p.add_argument("--z", type=float, default=2.0)
+    p.add_argument("--z", type=_z_exponent, default=2.0)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default="0.001,0.0025,0.005,0.01,0.025,0.05,0.1",

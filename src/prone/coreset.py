@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator
+from ._util import as_generator, check_z
 from .baseline import (
     ClusteringModel,
     _power_from_sq,
@@ -74,12 +74,6 @@ class WeightedCoreset:
     @property
     def size(self) -> int:
         return int(self.weights.size)
-
-    def __iter__(self):
-        from .dataset import WeightedPoint
-
-        for row, w in zip(self.points, self.weights):
-            yield WeightedPoint(point=row, weight=float(w))
 
 
 class AliasTable:
@@ -284,6 +278,7 @@ def boosted_prone(
     The coreset has s = ceil(alpha * n) points; alpha must satisfy
     ceil(alpha * n) >= k or there are not enough points to seed k centers.
     """
+    check_z(z)
     data = as_dataset(data)
     s = math.ceil(alpha * data.n)
     if s < k:

@@ -14,8 +14,6 @@ Parse errors name the offending line. Writing a dense dataset uses full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -24,7 +22,6 @@ from ._util import as_generator
 __all__ = [
     "Dataset",
     "DatasetFormatError",
-    "WeightedPoint",
     "as_dataset",
     "load_dense_csv",
     "load_sparse",
@@ -42,14 +39,6 @@ MIRROR_DISTANCE = 1000.0
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; the message names the line."""
-
-
-@dataclass(frozen=True)
-class WeightedPoint:
-    """A single point paired with a positive sampling weight."""
-
-    point: np.ndarray
-    weight: float
 
 
 class Dataset:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_generator
+from ._util import as_generator, check_z
 from .baseline import ClusteringModel, centers_of_mass, cost_with_assignment, cost_with_nearest
 from .dataset import as_dataset
 from .projection import ProjectionVector, sample_direction, project
@@ -36,6 +36,9 @@ class ProneConfig:
     variant: str = "standard"
     seed: int | None = None
     collect_stats: bool = True
+
+    def __post_init__(self) -> None:
+        check_z(self.z)
 
 
 @dataclass(frozen=True)

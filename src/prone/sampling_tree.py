@@ -7,7 +7,9 @@ gives three operations:
 * ``total``  - O(1), the root sum,
 * ``find(r)`` - O(log n), the leaf holding the r-th unit of mass,
 * ``update(a, start, stop)`` - refresh a contiguous leaf range, touching
-  O((stop - start) + log n) nodes.
+  O((stop - start) + log n) nodes: one vectorized pass per level while the
+  changed range spans several nodes, then scalar adds up the single path
+  that remains.
 
 Internal sums are always recomputed from the two children rather than
 adjusted incrementally, so the root equals the pairwise tree-order sum of
@@ -47,6 +49,9 @@ class SamplingTree:
             lo >>= 1
             nodes[lo : 2 * lo] = nodes[2 * lo : 4 * lo : 2] + nodes[2 * lo + 1 : 4 * lo : 2]
         self._nodes = nodes
+        # scalar reads and writes through a memoryview are Python floats,
+        # several times cheaper than numpy scalar indexing, and round the same
+        self._view = memoryview(nodes)
         # instrumentation: node writes performed by the latest update() call
         self.last_update_leaf_nodes = 0
         self.last_update_internal_nodes = 0
@@ -74,7 +79,7 @@ class SamplingTree:
         Requires 0 <= r < total and a positive total; never returns an
         index whose mass is zero.
         """
-        nodes = self._nodes
+        nodes = self._view
         total = nodes[1]
         if not total > 0.0:
             raise ValueError("find() on a tree with zero total mass")
@@ -103,7 +108,10 @@ class SamplingTree:
 
         ``a`` may be a full-length array aligned with the leaves (the slice
         [start:stop] is taken) or exactly the stop - start replacement values.
-        Recomputes every ancestor of the changed leaves from its children.
+        Recomputes every ancestor of the changed leaves from its children:
+        level by level with numpy while the range spans several nodes, then
+        with scalar float adds (which round exactly like numpy's) once it
+        has narrowed to one node.
         """
         if not (0 <= start < stop <= self._n):
             raise ValueError(f"range [{start}, {stop}) invalid for size {self._n}")
@@ -124,11 +132,22 @@ class SamplingTree:
         nodes[lo : hi + 1] = vals
         self.last_update_leaf_nodes = stop - start
         internal = 0
-        while lo > 1:
+        while lo < hi:
             lo >>= 1
             hi >>= 1
-            nodes[lo : hi + 1] = nodes[2 * lo : 2 * hi + 2 : 2] + nodes[2 * lo + 1 : 2 * hi + 2 : 2]
+            np.add(
+                nodes[2 * lo : 2 * hi + 2 : 2],
+                nodes[2 * lo + 1 : 2 * hi + 2 : 2],
+                out=nodes[lo : hi + 1],
+            )
             internal += hi - lo + 1
+        view = self._view
+        acc = view[lo]
+        internal += lo.bit_length() - 1
+        while lo > 1:
+            acc += view[lo ^ 1]
+            lo >>= 1
+            view[lo] = acc
         self.last_update_internal_nodes = internal
 
     def check_consistency(self) -> None:

@@ -23,6 +23,11 @@ identical centers and assignments, which the tests assert index for index.
 If the remaining total mass hits zero before k draws (fewer than k
 distinct values), both return k' < k centers and set ``exhausted``.
 
+Both seeders sort with the same permutation: the default (unstable, SIMD)
+argsort, redone with a stable sort only when two values are equal. Without
+ties every correct sort returns the stable permutation, so the order never
+depends on which sort ran.
+
 Centers are reported in selection order; assignments use ranks into that
 list; exact midpoint ties go to the center on the right.
 """
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator, padded_pairwise_sum, power_abs
+from ._util import as_generator, check_z, padded_pairwise_sum, power_abs
 from .sampling_tree import SamplingTree
 
 __all__ = [
@@ -44,6 +49,11 @@ __all__ = [
     "seed_1d_naive",
     "assign_to_sorted_centers",
 ]
+
+# Length of a scan's first block. A numpy call's fixed cost is about that of
+# a few hundred elements of scan work, so starting here wastes at most about
+# one call on a short interval and saves several doublings on a long one.
+_FIRST_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -89,8 +99,21 @@ def _validate(points: np.ndarray, k: int, z: float) -> None:
         raise ValueError("points must be finite")
     if not 1 <= k <= points.size:
         raise ValueError(f"k={k} must satisfy 1 <= k <= n={points.size}")
-    if z < 1:
-        raise ValueError(f"z={z} must be >= 1")
+    check_z(z)
+
+
+def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (order, xs_in[order]) with ``order`` the stable argsort.
+
+    Runs the faster default argsort and falls back to a stable one only if
+    the sorted values contain a tie (-0.0 and 0.0 count as one).
+    """
+    order = np.argsort(xs_in)
+    xs = xs_in[order]
+    if (xs[1:] == xs[:-1]).any():
+        order = np.argsort(xs_in, kind="stable")
+        xs = xs_in[order]
+    return order, xs
 
 
 def _scan_left(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int, int]:
@@ -103,7 +126,7 @@ def _scan_left(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[in
     """
     c = xs[center]
     i = center - 1
-    block = 32
+    block = _FIRST_BLOCK
     writes = 0
     while i >= 0:
         lo = max(0, i - block + 1)
@@ -130,7 +153,7 @@ def _scan_right(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[i
     n = xs.size
     c = xs[center]
     j = center + 1
-    block = 32
+    block = _FIRST_BLOCK
     writes = 0
     while j < n:
         hi = min(n, j + block)
@@ -161,8 +184,7 @@ def seed_1d_fast(
     rng = as_generator(rng)
     n = xs_in.size
 
-    order = np.argsort(xs_in, kind="stable")
-    xs = xs_in[order]
+    order, xs = _sort(xs_in)
 
     first = int(rng.integers(n))
     a = power_abs(xs - xs[first], z)
@@ -218,8 +240,7 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
     rng = as_generator(rng)
     n = xs_in.size
 
-    order = np.argsort(xs_in, kind="stable")
-    xs = xs_in[order]
+    order, xs = _sort(xs_in)
 
     first = int(rng.integers(n))
     a = power_abs(xs - xs[first], z)
@@ -259,11 +280,20 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
 
 
 def assign_to_sorted_centers(points_sorted, centers_sorted) -> np.ndarray:
-    """Assign ascending points to ascending centers by a two-pointer merge.
+    """Assign ascending points to ascending centers; return ranks into them.
 
-    Returns ranks into ``centers_sorted``. The center pointer advances
-    while the next center is at least as close, so a point exactly halfway
-    between two centers goes to the right one. O(n + k).
+    Defined by a sweep over the points that advances the center rank j while
+    |x - c_j| >= |x - c_{j+1}|: a point exactly halfway between two centers
+    goes to the right one, and repeated centers pass their points on to the
+    last copy. Instead of sweeping, this finds where each advance happens.
+    For points above c_j the test is monotone (both rounded distances are
+    monotone in x), so one vectorized binary search over the points in
+    (c_j, c_{j+1}) finds every boundary, and a running maximum turns the
+    boundaries into the sweep's advance positions. Below c_j the test holds
+    only where the two distances round to the same float, which needs the
+    gap c_{j+1} - c_j to be within two ulps of the distance to the leftmost
+    point; such pairs are checked point by point. O(k log n) for the search
+    plus O(n) for the validation and the output.
     """
     pts = np.asarray(points_sorted, dtype=np.float64)
     cts = np.asarray(centers_sorted, dtype=np.float64)
@@ -271,17 +301,43 @@ def assign_to_sorted_centers(points_sorted, centers_sorted) -> np.ndarray:
         raise ValueError("expected 1-D arrays")
     if cts.size == 0:
         raise ValueError("at least one center required")
-    if pts.size and np.any(np.diff(pts) < 0):
+    if (pts[1:] < pts[:-1]).any():
         raise ValueError("points must be in ascending order")
-    if np.any(np.diff(cts) < 0):
+    if (cts[1:] < cts[:-1]).any():
         raise ValueError("centers must be in ascending order")
-    sigma = np.empty(pts.size, dtype=np.intp)
-    xs = pts.tolist()
-    cs = cts.tolist()
-    kk = len(cs)
-    j = 0
-    for i, xi in enumerate(xs):
-        while j + 1 < kk and abs(xi - cs[j]) >= abs(xi - cs[j + 1]):
-            j += 1
-        sigma[i] = j
-    return sigma
+    n, k = pts.size, cts.size
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    # distances past the float range round to inf, as the scalar sweep's do
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = cts[:-1], cts[1:]
+        # first point in (c_j, c_{j+1}) that passes the test, else the first >= c_{j+1}
+        lo = np.searchsorted(pts, left, "right")
+        hi = np.searchsorted(pts, right, "left")
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1  # == hi == lo on finished pairs, which stay put
+            x = pts.take(mid, mode="clip")
+            advance = np.abs(x - left) >= np.abs(x - right)
+            lo = np.where(advance, lo, np.minimum(mid + 1, hi))
+            hi = np.where(advance, mid, hi)
+        gap = right - left
+        # pairs whose two distances can round to the same value left of c_j,
+        # and repeated centers (gap 0): both are swept one pair at a time
+        rounds_equal = ~(gap > 2.0 * np.spacing(right - pts[0]))
+        if rounds_equal.any():
+            lo[gap == 0] = 0  # a repeated center is passed as soon as it is reached
+            first_at = np.searchsorted(pts, left, "left")
+            advance_at = np.empty(k - 1, dtype=np.intp)
+            prev = 0
+            for j in range(k - 1):
+                at = max(prev, int(lo[j]))
+                if rounds_equal[j] and prev < first_at[j]:
+                    seg = pts[prev : first_at[j]]
+                    hit = np.abs(seg - left[j]) >= np.abs(seg - right[j])
+                    if hit.any():
+                        at = prev + int(np.argmax(hit))
+                advance_at[j] = prev = at
+        else:
+            advance_at = np.maximum.accumulate(lo)
+    bounds = np.concatenate(([0], advance_at, [n]))
+    return np.repeat(np.arange(k, dtype=np.intp), bounds[1:] - bounds[:-1])

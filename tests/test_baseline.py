@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prone.baseline import (
+    _COST_CHUNK,
     ClusteringModel,
     centers_of_mass,
     cost_with_assignment,
@@ -25,6 +27,102 @@ def brute_force_nearest_cost(pts, centers, z):
         best = min(float(np.linalg.norm(x - c)) for c in centers)
         total += best**z
     return total
+
+
+def per_column_centers_of_mass(mat, sigma, k, weights=None):
+    """Reference lift: one bincount per column (dense) or a COO-built one-hot (sparse)."""
+    n, d = mat.shape
+    if weights is None:
+        wsum = np.bincount(sigma, minlength=k).astype(np.float64)
+        w = np.ones(n)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        wsum = np.bincount(sigma, weights=w, minlength=k)
+    if sp.issparse(mat):
+        onehot = sp.csr_matrix((w, (sigma, np.arange(n))), shape=(k, n))
+        sums = np.asarray((onehot @ mat).todense())
+    else:
+        sums = np.empty((k, d), dtype=np.float64)
+        for j in range(d):
+            col = mat[:, j] if weights is None else w * mat[:, j]
+            sums[:, j] = np.bincount(sigma, weights=col, minlength=k)
+    nonempty = wsum > 0
+    centers = np.zeros((k, d), dtype=np.float64)
+    centers[nonempty] = sums[nonempty] / wsum[nonempty, None]
+    relocated = np.flatnonzero(~nonempty)
+    if relocated.size:
+        _, d2 = nearest_assignment(mat, centers[nonempty])
+        far_order = np.argsort(d2)[::-1]
+        for slot, cluster in enumerate(relocated):
+            row = far_order[slot % far_order.size]
+            centers[cluster] = mat[row].toarray().ravel() if sp.issparse(mat) else mat[row]
+    return centers, relocated
+
+
+def per_cluster_assignment_costs(mat, centers, sigma, z):
+    """Reference cost: gather each cluster's rows and combine them with its center."""
+    order = np.argsort(sigma, kind="stable")
+    boundaries = np.searchsorted(sigma[order], np.arange(centers.shape[0] + 1))
+    d2 = np.empty(mat.shape[0], dtype=np.float64)
+    if sp.issparse(mat):
+        xn = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
+        cn = np.einsum("ij,ij->i", centers, centers)
+    for j in range(centers.shape[0]):
+        rows = order[boundaries[j] : boundaries[j + 1]]
+        if rows.size == 0:
+            continue
+        if sp.issparse(mat):
+            cross = np.asarray(mat[rows] @ centers[j]).ravel()
+            d2[rows] = np.maximum(xn[rows] - 2.0 * cross + cn[j], 0.0)
+        else:
+            diff = mat[rows] - centers[j]
+            d2[rows] = np.einsum("ij,ij->i", diff, diff)
+    d2 = np.maximum(d2, 0.0)
+    return d2 if z == 2 else np.sqrt(d2) if z == 1 else d2 ** (z / 2.0)
+
+
+def _lift_instance(seed, n, sparse):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
+    if sparse:
+        mat[rng.random(mat.shape) < 0.6] = 0.0
+        mat = sp.csr_matrix(mat)
+    k = 9
+    sigma = rng.integers(0, k - 2, size=n)  # clusters 7 and 8 stay empty
+    return mat, sigma, k, rng
+
+
+class TestBitIdenticalToReferences:
+    # n is not a multiple of the cost block size, and spans several blocks
+    @pytest.mark.parametrize("n", [1, 37, 2 * _COST_CHUNK + 37])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_centers_of_mass(self, n, sparse, weighted):
+        mat, sigma, k, rng = _lift_instance(n, n, sparse)
+        w = rng.random(n) * 4.0 if weighted else None
+        got, relocated = centers_of_mass(mat, sigma, k, weights=w)
+        want, want_relocated = per_column_centers_of_mass(mat, sigma, k, w)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(relocated, want_relocated)
+        assert relocated.size >= 2
+
+    def test_centers_of_mass_zero_weight_cluster(self):
+        mat, sigma, k, rng = _lift_instance(5, 500, False)
+        w = rng.random(500)
+        w[sigma == 3] = 0.0
+        got, relocated = centers_of_mass(mat, sigma, k, weights=w)
+        want, _ = per_column_centers_of_mass(mat, sigma, k, w)
+        np.testing.assert_array_equal(got, want)
+        assert 3 in relocated.tolist()
+
+    @pytest.mark.parametrize("n", [1, 37, 2 * _COST_CHUNK + 37])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+    def test_pointwise_assignment_costs(self, n, sparse, z):
+        mat, sigma, k, rng = _lift_instance(n + 1, n, sparse)
+        centers = rng.standard_normal((k, 6)) * 100.0
+        got = pointwise_assignment_costs(mat, centers, sigma, z)
+        np.testing.assert_array_equal(got, per_cluster_assignment_costs(mat, centers, sigma, z))
 
 
 class TestCosts:
@@ -161,6 +259,14 @@ class TestKmeansppSeed:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             kmeanspp_seed(as_dataset([[1.0]]), k=2, z=2, rng=0)
+
+
+class TestNonFiniteZ:
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")])
+    def test_kmeanspp_rejects(self, z):
+        pts = as_dataset(np.random.default_rng(0).standard_normal((20, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            kmeanspp_seed(pts, 5, z=z, rng=0)
 
 
 class TestCentersOfMass:

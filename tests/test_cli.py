@@ -66,6 +66,13 @@ class TestCluster:
             run_cli("cluster", "--input", toy_csv, "--k", 0, "--output", tmp_path / "o")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "0.5"])
+    def test_bad_z_usage_error(self, toy_csv, tmp_path, capsys, z):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cluster", "--input", toy_csv, "--k", 2, "--z", z, "--output", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "finite and >= 1" in capsys.readouterr().err
+
     def test_boosted_alpha_too_small(self, toy_csv, tmp_path, capsys):
         # ceil(0.001 * 200) = 1 < k = 5: the excluded-cell error
         code = run_cli(

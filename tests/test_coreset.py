@@ -175,6 +175,12 @@ class TestWeightedCsv:
 
 
 class TestBoosted:
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")])
+    def test_non_finite_z_rejected(self, z):
+        data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
+        with pytest.raises(ValueError, match="finite"):
+            boosted_prone(data, k=2, z=z, alpha=0.5, rng=0)
+
     def test_alpha_n_below_k_rejected(self):
         data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
         with pytest.raises(ValueError, match="alpha"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from prone import seeding1d
 from prone.baseline import cost_with_nearest
 from prone.dataset import as_dataset, gen_gaussian_mixture
 from prone.pipeline import ProneConfig, ProneResult, prone, prone_center_cost
@@ -78,6 +79,57 @@ class TestProne:
             b = prone(as_dataset(lam * pts), ProneConfig(k=6, z=z, seed=77))
             np.testing.assert_array_equal(a.model.assignment, b.model.assignment)
             assert b.model.cost == pytest.approx(lam**z * a.model.cost, rel=1e-9)
+
+
+class TestNonFiniteZ:
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), 0.5])
+    def test_config_rejects(self, z):
+        # prone takes z only through its config, so this guards prone too
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            ProneConfig(k=2, z=z)
+
+
+def _ancestor_count(capacity, start, stop):
+    """Distinct internal nodes above leaves [start, stop) of a padded tree."""
+    level = {capacity + i for i in range(start, stop)}
+    count = 0
+    while level != {1}:
+        level = {node >> 1 for node in level}
+        count += len(level)
+    return count
+
+
+class TestTracedLayerNames:
+    """One prone call must go through the names a per-layer trace wraps."""
+
+    def test_prone_reaches_traced_layers(self, monkeypatch):
+        calls = {"assign": 0, "find": 0, "update": 0}
+        assign = seeding1d.assign_to_sorted_centers
+        find = seeding1d.SamplingTree.find
+        update = seeding1d.SamplingTree.update
+
+        def counted_assign(*args, **kwargs):
+            calls["assign"] += 1
+            return assign(*args, **kwargs)
+
+        def counted_find(tree, r):
+            calls["find"] += 1
+            return find(tree, r)
+
+        def checked_update(tree, a, start, stop):
+            calls["update"] += 1
+            tree.last_update_leaf_nodes = tree.last_update_internal_nodes = -1
+            update(tree, a, start, stop)
+            assert tree.last_update_leaf_nodes == stop - start
+            assert tree.last_update_internal_nodes == _ancestor_count(tree.capacity, start, stop)
+
+        monkeypatch.setattr(seeding1d, "assign_to_sorted_centers", counted_assign)
+        monkeypatch.setattr(seeding1d.SamplingTree, "find", counted_find)
+        monkeypatch.setattr(seeding1d.SamplingTree, "update", checked_update)
+        data, _ = gen_gaussian_mixture(6, 300, 4, 100.0, rng=2)
+        res = prone(data, ProneConfig(k=6, seed=1))
+        assert res.seeding.k_found == 6
+        assert calls == {"assign": 1, "find": 5, "update": 5}
 
 
 class TestProneCenterCost:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prone.seeding1d import assign_to_sorted_centers, seed_1d_fast, seed_1d_naive
+from prone.seeding1d import _sort, assign_to_sorted_centers, seed_1d_fast, seed_1d_naive
 
 
 def brute_force_assign(points, center_values):
@@ -15,6 +17,22 @@ def brute_force_assign(points, center_values):
         # later index wins ties: scan reversed, convert back
         out[i] = (cvals.size - 1) - int(np.argmin(dists[::-1]))
     return out
+
+
+def two_pointer_assign(points_sorted, centers_sorted):
+    """Reference sweep: advance the center while the next one is at least as close.
+
+    Differs from ``brute_force_assign`` only where two distances round to
+    the same float left of both centers.
+    """
+    sigma = np.empty(len(points_sorted), dtype=np.intp)
+    cs = [float(c) for c in centers_sorted]
+    j = 0
+    for i, xi in enumerate(float(x) for x in points_sorted):
+        while j + 1 < len(cs) and abs(xi - cs[j]) >= abs(xi - cs[j + 1]):
+            j += 1
+        sigma[i] = j
+    return sigma
 
 
 class TestWorkedExamples:
@@ -77,6 +95,12 @@ class TestValidation:
     def test_z_below_one(self):
         with pytest.raises(ValueError):
             seed_1d_fast([1, 2], k=1, z=0.5, rng=0)
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("seeder", [seed_1d_fast, seed_1d_naive])
+    def test_non_finite_z(self, seeder, z):
+        with pytest.raises(ValueError, match="finite"):
+            seeder([1.0, 2.0, 4.0], k=2, z=z, rng=0)
 
 
 class TestFastNaiveEquivalence:
@@ -159,3 +183,72 @@ class TestAssignToSortedCenters:
             ctr = np.sort(rng.choice(20, size=k, replace=False).astype(float))
             got = assign_to_sorted_centers(pts, ctr)
             np.testing.assert_array_equal(got, brute_force_assign(pts, ctr))
+
+
+# an integer grid forces exact midpoint ties and duplicates; arbitrary
+# floats reach magnitudes where distances round together or overflow
+_value = st.one_of(
+    st.integers(-6, 6).map(float), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+class TestAssignMatchesSweep:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.lists(_value, min_size=1, max_size=40),
+        st.lists(_value, min_size=1, max_size=8),
+    )
+    def test_property(self, pts, ctr):
+        pts, ctr = np.sort(pts), np.sort(ctr)
+        np.testing.assert_array_equal(
+            assign_to_sorted_centers(pts, ctr), two_pointer_assign(pts, ctr)
+        )
+
+    @pytest.mark.parametrize(
+        "pts, ctr",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 4.0]),  # midpoint ties
+            ([-3.0, -1.0, 0.5, 5.0, 9.0], [0.0, 4.0]),  # left and right of every center
+            ([1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 2.0]),  # duplicate points
+            ([-1.0, 0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 2.0, 2.0]),  # repeated centers
+            ([-1.0, 3.0], [1.0, 1.0]),
+            ([7.0], [1.0]),  # n = 1, k = 1
+            ([7.0], [1.0, 6.0, 9.0]),
+            ([-4.0, 0.0, 8.0], [2.0]),  # k = 1
+            ([-1e17, 0.0, 0.5, 1.0], [0.0, 1.0]),  # far left: |x - 0| and |x - 1| round equal
+            ([-1.7e308, 0.0, 1.7e308], [-1e308, 1e308]),  # distances overflow to inf
+            ([-0.0, 0.0, 1.0], [-0.0, 0.0]),
+        ],
+    )
+    def test_edge_cases(self, pts, ctr):
+        got = assign_to_sorted_centers(pts, ctr)
+        np.testing.assert_array_equal(got, two_pointer_assign(pts, ctr))
+
+    def test_no_points(self):
+        assert assign_to_sorted_centers([], [1.0, 2.0]).tolist() == []
+
+    def test_rejects_descending_input(self):
+        with pytest.raises(ValueError):
+            assign_to_sorted_centers([2.0, 1.0], [0.0])
+        with pytest.raises(ValueError):
+            assign_to_sorted_centers([1.0, 2.0], [3.0, 0.0])
+
+
+class TestSort:
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_tie_heavy_input_is_stable(self, n):
+        x = np.random.default_rng(n).integers(0, 7, size=n).astype(np.float64)
+        order, xs = _sort(x)
+        np.testing.assert_array_equal(order, np.argsort(x, kind="stable"))
+        np.testing.assert_array_equal(xs, x[order])
+
+    def test_signed_zeros_count_as_ties(self):
+        x = np.array([0.0, -0.0, 1.0, -0.0, 0.0])
+        order, _ = _sort(x)
+        np.testing.assert_array_equal(order, np.argsort(x, kind="stable"))
+
+    def test_distinct_input(self):
+        x = np.random.default_rng(3).standard_normal(4096)
+        order, xs = _sort(x)
+        np.testing.assert_array_equal(order, np.argsort(x, kind="stable"))
+        np.testing.assert_array_equal(xs, np.sort(x))
