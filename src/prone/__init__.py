@@ -23,10 +23,8 @@ from .coreset import (
     WeightedCoreset,
     boosted_prone,
     lightweight_distribution,
-    load_weighted_csv,
     sample_coreset,
     sensitivity_distribution,
-    write_weighted_csv,
 )
 from .dataset import (
     Dataset,
@@ -79,7 +77,6 @@ __all__ = [
     "lloyd_iterate",
     "load_dense_csv",
     "load_sparse",
-    "load_weighted_csv",
     "nearest_assignment",
     "pointwise_assignment_costs",
     "prone",
@@ -91,5 +88,4 @@ __all__ = [
     "seed_1d_naive",
     "sensitivity_distribution",
     "write_dense_csv",
-    "write_weighted_csv",
 ]

@@ -10,8 +10,12 @@ weighted (a weighted point set behaves like the multiset with that many
 copies; the first center is drawn proportionally to weight). It consumes
 randomness exactly like the 1-D seeders: one uniform integer (unweighted
 first center), then one uniform real per subsequent center scaled by the
-current total mass, so on sorted 1-D input with a shared generator it
+current total mass, so on sorted (n, 1) input with a shared generator it
 reproduces ``seed_1d_naive`` draw for draw.
+
+Every entry point coerces its points through :func:`prone.dataset.as_dataset`
+(a Dataset, an (n, d) array or a sparse matrix), so non-finite or non-2-D
+input is rejected the same way everywhere.
 
 ``lloyd_iterate`` is plain Lloyd for z = 2 with weighted variants for
 coresets. Empty clusters are repaired by relocating the center to the
@@ -27,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._util import as_generator, check_z, padded_pairwise_sum
-from .dataset import Dataset
+from .dataset import as_dataset
 
 __all__ = [
     "ClusteringModel",
@@ -65,18 +69,6 @@ class ClusteringModel:
         return int(self.centers.shape[0])
 
 
-def _as_matrix(points):
-    """Return (matrix, is_sparse) for a Dataset, ndarray, or CSR input."""
-    if isinstance(points, Dataset):
-        return points.points, points.is_sparse
-    if sp.issparse(points):
-        return points.tocsr(), True
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr, False
-
-
 def _row_sq_norms(mat, is_sparse) -> np.ndarray:
     if is_sparse:
         return np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
@@ -105,10 +97,11 @@ def _check_centers(centers) -> np.ndarray:
 
 def nearest_assignment(points, centers, chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center per point: returns (assignment, squared distances)."""
-    mat, sparse = _as_matrix(points)
+    data = as_dataset(points)
+    mat, sparse = data.points, data.is_sparse
     c = _check_centers(centers)
-    n = mat.shape[0]
-    if c.shape[1] != mat.shape[1]:
+    n = data.n
+    if c.shape[1] != data.d:
         raise ValueError("dimension mismatch between points and centers")
     if chunk is None:
         # cap the chunk x k distance block at ~16M doubles
@@ -152,10 +145,11 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
     center, so temporaries stay O(block * d) and no n x k distance matrix
     is ever formed.
     """
-    mat, sparse = _as_matrix(points)
+    data = as_dataset(points)
+    mat, sparse = data.points, data.is_sparse
     c = _check_centers(centers)
     sigma = np.asarray(assignment)
-    n = mat.shape[0]
+    n = data.n
     if sigma.shape != (n,):
         raise ValueError("assignment must have one entry per point")
     if sigma.size and (sigma.min() < 0 or sigma.max() >= c.shape[0]):
@@ -203,8 +197,9 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     assignment and cost implied by the final distance table. Stops early
     with fewer centers if the remaining mass is exhausted.
     """
-    mat, sparse = _as_matrix(points)
-    n, d = mat.shape
+    data = as_dataset(points)
+    mat, sparse = data.points, data.is_sparse
+    n = data.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
     check_z(z)
@@ -279,9 +274,10 @@ def centers_of_mass(
     The sums are one product of a (k, n) one-hot matrix with the data, so
     the lift is O(nnz + kd) for dense and sparse input alike.
     """
-    mat, sparse = _as_matrix(points)
+    data = as_dataset(points)
+    mat, sparse = data.points, data.is_sparse
     sigma = np.asarray(assignment)
-    n, d = mat.shape
+    n, d = data.n, data.d
     if sigma.shape != (n,):
         raise ValueError("assignment must have one entry per point")
     if k < 1:
@@ -304,7 +300,7 @@ def centers_of_mass(
     if relocated.size:
         if not nonempty.any():
             raise ValueError("every cluster is empty")
-        _, d2 = nearest_assignment(points, centers[nonempty])
+        _, d2 = nearest_assignment(data, centers[nonempty])
         far_order = np.argsort(d2)[::-1]
         for slot, cluster in enumerate(relocated):
             row = far_order[slot % far_order.size]
@@ -333,6 +329,7 @@ def lloyd_iterate(
         raise ValueError("lloyd_iterate supports z=2 only")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    points = as_dataset(points)  # once, not on every pass
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
     centers = np.array(model.centers, dtype=np.float64)
     k = centers.shape[0]

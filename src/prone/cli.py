@@ -9,10 +9,12 @@ bench     run a suite (direct | coreset | boosted) over a grid of k values
           summary CSV (mean cost ratio and speedup per cell) next to it.
 gen       write a synthetic dataset (mixture | adversarial) to CSV.
 
-Benchmark cells with the same (k, rep) share a derived seed so that cost
-ratios and speedups are paired. --jobs N (default: the PRONE_THREADS
-environment variable, else 1) runs cells in parallel processes; each cell
-itself stays single-threaded so wall-clock comparisons are fair.
+Every algorithm is one entry of ``ALGORITHMS``, which ``cluster`` and all
+three bench suites run through. Benchmark runs with the same (k, rep)
+start from the same derived seed so that cost ratios and speedups are
+paired, and ``cluster --seed S --k K`` starts from bench's (K, rep 0) seed,
+so it reproduces that cell. --jobs N runs cells in parallel processes;
+each cell itself stays single-threaded so wall-clock comparisons are fair.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import check_z
-from .baseline import cost_with_nearest, kmeanspp_seed, lloyd_iterate
+from .baseline import ClusteringModel, cost_with_nearest, kmeanspp_seed, lloyd_iterate
 from .coreset import (
     boosted_prone,
     lightweight_distribution,
@@ -48,7 +49,6 @@ from .dataset import (
 )
 from .pipeline import ProneConfig, prone
 
-ALGORITHMS = ("prone", "prone-variance", "prone-covariance", "kmeanspp", "boosted")
 SUITES = ("direct", "coreset", "boosted")
 BUILTIN_DATASETS = ("gaussian-small", "gaussian-large", "gaussian-adversarial")
 
@@ -73,6 +73,7 @@ class ExperimentRecord:
     wall_time_ms: dict | None = None
     total_updates: int | None = None
     k_found: int | None = None
+    exhausted: bool | None = None
 
 
 def _load_builtin(name: str) -> Dataset:
@@ -101,12 +102,6 @@ def _cell_rng(seed: int, k: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _variant_of(algo: str) -> str:
-    return {"prone": "standard", "prone-variance": "variance", "prone-covariance": "covariance"}[
-        algo
-    ]
-
-
 def _z_exponent(text: str) -> float:
     try:
         return check_z(float(text))
@@ -121,80 +116,125 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# --- the algorithm table ----------------------------------------------
+
+
+@dataclass
+class Run:
+    """What one algorithm run reports, whichever algorithm it was.
+
+    ``timings`` holds seconds per stage. In the table's runs its ``"seed"``
+    entry is the whole call up to the centers, without any full-data
+    nearest-center pass; the coreset suite's runs time ``construct``,
+    ``train`` and ``total`` instead. ``cost_nearest`` is set only when the
+    run got it for free.
+    """
+
+    centers: np.ndarray
+    labels: np.ndarray | None
+    k_found: int
+    exhausted: bool
+    timings: dict
+    cost_assignment: float | None = None
+    cost_nearest: float | None = None
+    total_updates: int | None = None
+    comparisons: int | None = None
+
+
+def _timed(fn, *args, **kwargs):
+    """Return (fn(*args, **kwargs), seconds it took)."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
+def _prone_run(variant: str):
+    def run(data, k, z, rng, alpha=None) -> Run:
+        res, seconds = _timed(prone, data, ProneConfig(k=k, z=z, variant=variant), rng=rng)
+        return Run(
+            res.model.centers, res.model.assignment, res.seeding.k_found, res.exhausted,
+            {**res.timings, "seed": seconds}, cost_assignment=res.model.cost,
+            total_updates=res.seeding_stats.total_updates,
+            comparisons=res.seeding_stats.comparisons,
+        )
+
+    return run
+
+
+def _kmeanspp_run(data, k, z, rng, alpha=None) -> Run:
+    model, seconds = _timed(kmeanspp_seed, data, k, z, rng)
+    return Run(model.centers, model.assignment, model.k, model.k < k, {"seed": seconds},
+               cost_assignment=model.cost, cost_nearest=model.cost)
+
+
+def _boosted_run(data, k, z, rng, alpha=None) -> Run:
+    if alpha is None:
+        raise ValueError("--alpha is required for --algo boosted")
+    boosted, seconds = _timed(boosted_prone, data, k, z, alpha, rng)
+    model, evaluate_s = _timed(boosted.evaluate, data)
+    stats = boosted.prone_result.seeding_stats
+    return Run(
+        model.centers, model.assignment, model.k, model.k < k,
+        {**boosted.timings, "seed": seconds, "evaluate": evaluate_s},
+        cost_assignment=model.cost, cost_nearest=model.cost,
+        total_updates=stats.total_updates, comparisons=stats.comparisons,
+    )
+
+
+# name -> fn(data, k, z, rng, alpha) -> Run. The entries look ``prone``,
+# ``kmeanspp_seed`` and ``boosted_prone`` up in this module when called, so a
+# tracer that replaces those names after import still sees every call.
+ALGORITHMS = {
+    "prone": _prone_run("standard"),
+    "prone-variance": _prone_run("variance"),
+    "prone-covariance": _prone_run("covariance"),
+    "kmeanspp": _kmeanspp_run,
+    "boosted": _boosted_run,
+}
+
+
+def _with_nearest(run: Run, data, z: float) -> Run:
+    """Fill in the O(ndk) nearest-center cost unless the run already has it."""
+    if run.cost_nearest is None:
+        run.cost_nearest = cost_with_nearest(data, run.centers, z)
+    return run
+
+
+def _run_fields(run: Run) -> dict:
+    """The record fields every cluster and bench record takes from a run."""
+    return {
+        "cost_assignment": run.cost_assignment,
+        "cost_nearest": run.cost_nearest,
+        "k_found": run.k_found,
+        "exhausted": run.exhausted,
+        "total_updates": run.total_updates,
+        "wall_time_ms": {stage: 1e3 * s for stage, s in run.timings.items()},
+    }
+
+
 # --- cluster -----------------------------------------------------------
 
 
 def cmd_cluster(args) -> int:
-    t_load = time.perf_counter()
-    data = _load_dataset(args.input, args.format)
-    load_ms = 1e3 * (time.perf_counter() - t_load)
-    record: dict = {
-        "command": "cluster",
-        "algorithm": args.algo,
-        "input": args.input,
-        "n": data.n,
-        "d": data.d,
-        "k": args.k,
-        "z": args.z,
-        "seed": args.seed,
-        "alpha": args.alpha,
-    }
+    data, load_s = _timed(_load_dataset, args.input, args.format)
     t0 = time.perf_counter()
-    if args.algo in ("prone", "prone-variance", "prone-covariance"):
-        res = prone(data, ProneConfig(k=args.k, z=args.z, variant=_variant_of(args.algo), seed=args.seed))
-        centers = res.model.centers
-        labels = res.model.assignment
-        record["cost_assignment"] = res.model.cost
-        record["k_found"] = res.seeding.k_found
-        record["exhausted"] = res.exhausted
-        record["total_updates"] = res.seeding_stats.total_updates
-        record["wall_time_ms"] = {p: 1e3 * v for p, v in res.timings.items()}
-        if args.stats:
-            record["stats"] = {
-                "total_updates": res.seeding_stats.total_updates,
-                "comparisons": res.seeding_stats.comparisons,
-            }
-        if args.assign_nearest:
-            record["cost_nearest"] = cost_with_nearest(data, centers, args.z)
-    elif args.algo == "kmeanspp":
-        model = kmeanspp_seed(data, args.k, args.z, _cell_rng(args.seed, args.k, 0))
-        centers = model.centers
-        labels = model.assignment
-        record["cost_assignment"] = model.cost
-        record["cost_nearest"] = model.cost
-        record["k_found"] = model.k
-    else:  # boosted
-        if args.alpha is None:
-            print("error: --alpha is required for --algo boosted", file=sys.stderr)
-            return 2
-        try:
-            boosted = boosted_prone(
-                data, args.k, args.z, args.alpha, _cell_rng(args.seed, args.k, 0)
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        evaluated = boosted.evaluate(data)
-        centers = evaluated.centers
-        labels = evaluated.assignment
-        record["cost_nearest"] = evaluated.cost
-        record["cost_assignment"] = evaluated.cost
-        record["k_found"] = evaluated.k
-        record["wall_time_ms"] = {p: 1e3 * v for p, v in boosted.timings.items()}
-        if args.stats:
-            record["stats"] = {
-                "total_updates": boosted.prone_result.seeding_stats.total_updates,
-                "comparisons": boosted.prone_result.seeding_stats.comparisons,
-            }
-    record.setdefault("wall_time_ms", {})
-    record["wall_time_ms"]["load"] = load_ms
-    record["wall_time_ms"]["total"] = load_ms + 1e3 * (time.perf_counter() - t0)
+    run = ALGORITHMS[args.algo](data, args.k, args.z, _cell_rng(args.seed, args.k, 0), args.alpha)
+    if args.assign_nearest:
+        _with_nearest(run, data, args.z)
+    run.timings.update(load=load_s, total=load_s + time.perf_counter() - t0)
 
     centers_path = f"{args.output}.centers.csv"
     labels_path = f"{args.output}.labels.txt"
-    write_dense_csv(Dataset(np.atleast_2d(centers)), centers_path)
+    write_dense_csv(Dataset(np.atleast_2d(run.centers)), centers_path)
     with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{int(v)}\n" for v in labels)
+        fh.writelines(f"{int(v)}\n" for v in run.labels)
+    record = {
+        "command": "cluster", "algorithm": args.algo, "input": args.input,
+        "n": data.n, "d": data.d, "k": args.k, "z": args.z, "seed": args.seed,
+        "alpha": args.alpha, **_run_fields(run),
+    }
+    if args.stats:
+        record["stats"] = {"total_updates": run.total_updates, "comparisons": run.comparisons}
     record["centers_file"] = centers_path
     record["labels_file"] = labels_path
     print(json.dumps(record))
@@ -204,159 +244,72 @@ def cmd_cluster(args) -> int:
 # --- bench -------------------------------------------------------------
 
 
-def _bench_direct_cell(dataset: str, k: int, rep: int, seed: int, z: float) -> list[ExperimentRecord]:
-    data = _load_dataset(dataset)
-    out = []
+def _direct_cell(data, k, z, rng, task):
     for algo in ("prone", "prone-variance", "prone-covariance", "kmeanspp"):
-        rng = _cell_rng(seed, k, rep)
-        t0 = time.perf_counter()
-        if algo == "kmeanspp":
-            model = kmeanspp_seed(data, k, z, rng)
-            seed_ms = 1e3 * (time.perf_counter() - t0)
-            rec = ExperimentRecord(
-                suite="direct", algorithm=algo, dataset=dataset, n=data.n, d=data.d,
-                k=k, z=z, seed=seed, rep=rep,
-                cost_assignment=model.cost, cost_nearest=model.cost,
-                wall_time_ms={"seed": seed_ms}, k_found=model.k,
-            )
-        else:
-            res = prone(data, ProneConfig(k=k, z=z, variant=_variant_of(algo)), rng=rng)
-            seed_ms = 1e3 * (time.perf_counter() - t0)
-            rec = ExperimentRecord(
-                suite="direct", algorithm=algo, dataset=dataset, n=data.n, d=data.d,
-                k=k, z=z, seed=seed, rep=rep,
-                cost_assignment=res.model.cost,
-                cost_nearest=cost_with_nearest(data, res.model.centers, z),
-                wall_time_ms={"seed": seed_ms, **{p: 1e3 * v for p, v in res.timings.items()}},
-                total_updates=res.seeding_stats.total_updates,
-                k_found=res.seeding.k_found,
-            )
-        out.append(rec)
-    return out
+        yield algo, ALGORITHMS[algo](data, k, z, rng()), {}
 
 
-def _train_on_coreset(coreset, k: int, z: float, rng) -> np.ndarray:
-    model = kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)
+def _fit(points, k: int, z: float, rng, weights=None) -> ClusteringModel:
+    """k-means++ seeding, refined by Lloyd when z = 2."""
+    model = kmeanspp_seed(points, k, z, rng, weights=weights)
     if z == 2:
-        model = lloyd_iterate(coreset.points, model, weights=coreset.weights)
-    return model.centers
+        model = lloyd_iterate(points, model, weights=weights)
+    return model
 
 
-def _bench_coreset_cell(
-    dataset: str, k: int, rep: int, seed: int, z: float, rel_sizes: list[float]
-) -> list[ExperimentRecord]:
-    data = _load_dataset(dataset)
-    out = []
+def _coreset_cell(data, k, z, rng, task):
     # paired baseline: plain seeding plus refinement on the full data
-    rng = _cell_rng(seed, k, rep)
-    t0 = time.perf_counter()
-    base_model = kmeanspp_seed(data, k, z, rng)
-    if z == 2:
-        base_model = lloyd_iterate(data, base_model)
-    base_ms = 1e3 * (time.perf_counter() - t0)
-    out.append(
-        ExperimentRecord(
-            suite="coreset", algorithm="kmeanspp", dataset=dataset, n=data.n, d=data.d,
-            k=k, z=z, seed=seed, rep=rep,
-            cost_nearest=cost_with_nearest(data, base_model.centers, z),
-            wall_time_ms={"total": base_ms},
-        )
-    )
+    model, seconds = _timed(_fit, data, k, z, rng())
+    yield "kmeanspp", Run(model.centers, model.assignment, model.k, model.k < k,
+                          {"total": seconds}), {}
     for construction in ("sensitivity", "prone", "lightweight"):
-        for rel in rel_sizes:
+        for rel in task["rel_sizes"]:
             s = math.ceil(rel * data.n)
             if s < k:
                 continue  # not enough coreset points to seed k centers
-            rng = _cell_rng(seed, k, rep)
+            gen = rng()
             t0 = time.perf_counter()
-            if construction == "sensitivity":
-                dist = sensitivity_distribution(data, kmeanspp_seed(data, k, z, rng))
-            elif construction == "prone":
-                dist = sensitivity_distribution(
-                    data, prone(data, ProneConfig(k=k, z=z), rng=rng).model
-                )
-            else:
+            if construction == "lightweight":
                 dist = lightweight_distribution(data)
-            coreset = sample_coreset(data, dist, s, rng)
-            construct_ms = 1e3 * (time.perf_counter() - t0)
-            t1 = time.perf_counter()
-            centers = _train_on_coreset(coreset, k, z, rng)
-            train_ms = 1e3 * (time.perf_counter() - t1)
-            out.append(
-                ExperimentRecord(
-                    suite="coreset", algorithm=construction, dataset=dataset,
-                    n=data.n, d=data.d, k=k, z=z, seed=seed, rep=rep, rel_size=rel,
-                    cost_nearest=cost_with_nearest(data, centers, z),
-                    wall_time_ms={
-                        "construct": construct_ms,
-                        "train": train_ms,
-                        "total": construct_ms + train_ms,
-                    },
+            else:
+                algo = "kmeanspp" if construction == "sensitivity" else "prone"
+                base = ALGORITHMS[algo](data, k, z, gen)
+                dist = sensitivity_distribution(
+                    data, ClusteringModel(base.centers, base.labels, base.cost_assignment, z)
                 )
-            )
-    return out
+            coreset = sample_coreset(data, dist, s, gen)
+            t1 = time.perf_counter()
+            model = _fit(coreset.points, k, z, gen, coreset.weights)
+            t2 = time.perf_counter()
+            timings = {"construct": t1 - t0, "train": t2 - t1, "total": t2 - t0}
+            run = Run(model.centers, None, model.k, model.k < k, timings)
+            yield construction, run, {"rel_size": rel}
 
 
-def _bench_boosted_cell(
-    dataset: str, k: int, rep: int, seed: int, z: float, alphas: list[float]
-) -> list[ExperimentRecord]:
-    data = _load_dataset(dataset)
-    out = []
-    rng = _cell_rng(seed, k, rep)
-    t0 = time.perf_counter()
-    model = kmeanspp_seed(data, k, z, rng)
-    kpp_ms = 1e3 * (time.perf_counter() - t0)
-    out.append(
-        ExperimentRecord(
-            suite="boosted", algorithm="kmeanspp", dataset=dataset, n=data.n, d=data.d,
-            k=k, z=z, seed=seed, rep=rep, cost_nearest=model.cost,
-            wall_time_ms={"seed": kpp_ms},
-        )
-    )
-    rng = _cell_rng(seed, k, rep)
-    t0 = time.perf_counter()
-    res = prone(data, ProneConfig(k=k, z=z), rng=rng)
-    prone_ms = 1e3 * (time.perf_counter() - t0)
-    out.append(
-        ExperimentRecord(
-            suite="boosted", algorithm="prone", dataset=dataset, n=data.n, d=data.d,
-            k=k, z=z, seed=seed, rep=rep,
-            cost_assignment=res.model.cost,
-            cost_nearest=cost_with_nearest(data, res.model.centers, z),
-            wall_time_ms={"seed": prone_ms},
-            total_updates=res.seeding_stats.total_updates,
-        )
-    )
-    for alpha in alphas:
+def _boosted_cell(data, k, z, rng, task):
+    for algo in ("kmeanspp", "prone"):
+        yield algo, ALGORITHMS[algo](data, k, z, rng()), {}
+    for alpha in task["alphas"]:
         if math.ceil(alpha * data.n) < k:
             continue  # cell excluded: coreset smaller than k
-        rng = _cell_rng(seed, k, rep)
-        t0 = time.perf_counter()
-        boosted = boosted_prone(data, k, z, alpha, rng)
-        boost_ms = 1e3 * (time.perf_counter() - t0)
-        out.append(
-            ExperimentRecord(
-                suite="boosted", algorithm=f"boosted", dataset=dataset, n=data.n,
-                d=data.d, k=k, z=z, seed=seed, rep=rep, alpha=alpha,
-                cost_nearest=cost_with_nearest(data, boosted.model.centers, z),
-                wall_time_ms={"seed": boost_ms,
-                              **{p: 1e3 * v for p, v in boosted.timings.items()}},
-            )
-        )
-    return out
+        yield "boosted", ALGORITHMS["boosted"](data, k, z, rng(), alpha), {"alpha": alpha}
+
+
+_CELLS = {"direct": _direct_cell, "coreset": _coreset_cell, "boosted": _boosted_cell}
 
 
 def _run_cell(task: dict) -> list[ExperimentRecord]:
-    suite = task["suite"]
-    if suite == "direct":
-        return _bench_direct_cell(task["dataset"], task["k"], task["rep"], task["seed"], task["z"])
-    if suite == "coreset":
-        return _bench_coreset_cell(
-            task["dataset"], task["k"], task["rep"], task["seed"], task["z"], task["rel_sizes"]
+    """All records of one (k, rep) cell; every run starts from the cell's seed."""
+    data = _load_dataset(task["dataset"])
+    k, z, seed, rep = task["k"], task["z"], task["seed"], task["rep"]
+    runs = _CELLS[task["suite"]](data, k, z, lambda: _cell_rng(seed, k, rep), task)
+    return [
+        ExperimentRecord(
+            suite=task["suite"], algorithm=algo, dataset=task["dataset"], n=data.n, d=data.d,
+            k=k, z=z, seed=seed, rep=rep, **extra, **_run_fields(_with_nearest(run, data, z)),
         )
-    return _bench_boosted_cell(
-        task["dataset"], task["k"], task["rep"], task["seed"], task["z"], task["alphas"]
-    )
+        for algo, run, extra in runs
+    ]
 
 
 def _summarize(records: list[ExperimentRecord], path: str) -> None:
@@ -370,8 +323,7 @@ def _summarize(records: list[ExperimentRecord], path: str) -> None:
         base = baselines.get((rec.dataset, rec.k, rec.rep))
         if base is None or rec.algorithm == "kmeanspp":
             continue
-        cost = rec.cost_nearest if rec.cost_nearest is not None else rec.cost_assignment
-        base_cost = base.cost_nearest if base.cost_nearest is not None else base.cost_assignment
+        cost, base_cost = rec.cost_nearest, base.cost_nearest  # every bench run has one
         rec_ms = rec.wall_time_ms.get("seed", rec.wall_time_ms.get("total"))
         base_ms = base.wall_time_ms.get("seed", base.wall_time_ms.get("total"))
         ratio = cost / base_cost if base_cost else float("nan")
@@ -403,10 +355,9 @@ def cmd_bench(args) -> int:
         for k in ks
         for rep in range(args.reps)
     ]
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("PRONE_THREADS", "1"))
     records: list[ExperimentRecord] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for cell in pool.map(_run_cell, tasks):
                 records.extend(cell)
     else:
@@ -478,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative coreset sizes (coreset suite)")
     p.add_argument("--alphas", default="0.001,0.01,0.1",
                    help="coreset fractions (boosted suite)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel worker processes (default: $PRONE_THREADS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="JSON-lines output path")
     p.set_defaults(func=cmd_bench)
 

@@ -37,7 +37,7 @@ from .baseline import (
     nearest_assignment,
     pointwise_assignment_costs,
 )
-from .dataset import Dataset, DatasetFormatError, as_dataset
+from .dataset import as_dataset
 from .pipeline import ProneConfig, ProneResult, prone
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "sensitivity_distribution",
     "lightweight_distribution",
     "sample_coreset",
-    "write_weighted_csv",
-    "load_weighted_csv",
     "BoostedResult",
     "boosted_prone",
 ]
@@ -195,47 +193,6 @@ def sample_coreset(points, dist: SensitivityDistribution, s: int, rng=None) -> W
         points=np.array(rows, dtype=np.float64),
         weights=weights,
         source_indices=idx,
-    )
-
-
-def write_weighted_csv(coreset: WeightedCoreset, path) -> None:
-    """Serialize a coreset as CSV with the weight in a leading column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for w, row in zip(coreset.weights, coreset.points):
-            cells = [repr(float(w))] + [repr(v) for v in row.tolist()]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_weighted_csv(path) -> WeightedCoreset:
-    """Load a coreset written by :func:`write_weighted_csv`."""
-    weights = []
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DatasetFormatError(f"{path}: line {lineno}: need a weight and a point")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(parts)}"
-                )
-            try:
-                weights.append(float(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return WeightedCoreset(
-        points=np.array(rows, dtype=np.float64),
-        weights=np.array(weights, dtype=np.float64),
-        source_indices=np.full(len(rows), -1, dtype=np.intp),
     )
 
 

@@ -42,7 +42,12 @@ class DatasetFormatError(ValueError):
 
 
 class Dataset:
-    """Immutable set of n >= 1 points in R^d, dense or sparse rows."""
+    """Read-only set of n >= 1 points in R^d, dense or sparse rows.
+
+    A C-contiguous float64 array is wrapped without a copy: the Dataset
+    cannot write to it, but the caller still can, and values written
+    after wrapping are not checked again.
+    """
 
     __slots__ = ("_mat", "is_sparse")
 
@@ -55,7 +60,8 @@ class Dataset:
             self._mat = m
             self.is_sparse = True
         else:
-            m = np.ascontiguousarray(mat, dtype=np.float64)
+            # a view, so that freezing it leaves a caller's own array writeable
+            m = np.ascontiguousarray(mat, dtype=np.float64).view()
             if m.ndim != 2:
                 raise ValueError("expected a 2-D array of points")
             if not np.isfinite(m).all():

@@ -35,7 +35,6 @@ class ProneConfig:
     z: float = 2.0
     variant: str = "standard"
     seed: int | None = None
-    collect_stats: bool = True
 
     def __post_init__(self) -> None:
         check_z(self.z)
@@ -72,12 +71,10 @@ def prone(data, cfg: ProneConfig, rng=None) -> ProneResult:
     gen = as_generator(rng) if rng is not None else as_generator(cfg.seed)
 
     t0 = time.perf_counter()
-    vec = sample_direction(data, cfg.variant, gen, seed=cfg.seed)
+    vec = sample_direction(data, cfg.variant, gen)
     projected = project(data, vec)
     t1 = time.perf_counter()
-    seeding, stats = seed_1d_fast(
-        projected, cfg.k, cfg.z, gen, collect_stats=cfg.collect_stats
-    )
+    seeding, stats = seed_1d_fast(projected, cfg.k, cfg.z, gen)
     t2 = time.perf_counter()
     centers, _ = centers_of_mass(data, seeding.assignment, seeding.k_found)
     t3 = time.perf_counter()

@@ -29,11 +29,10 @@ VARIANTS = ("standard", "variance", "covariance")
 
 @dataclass(frozen=True)
 class ProjectionVector:
-    """A direction in R^d plus the variant (and seed, when known) that made it."""
+    """A direction in R^d plus the variant that made it."""
 
     direction: np.ndarray
     variant: str
-    seed: int | None = None
 
 
 def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
@@ -63,7 +62,7 @@ def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def sample_direction(data, variant: str = "standard", rng=None, seed: int | None = None) -> ProjectionVector:
+def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVector:
     """Draw a projection direction for ``data`` using the given variant.
 
     An exactly-zero draw is redrawn; if the data admit no nonzero direction
@@ -76,8 +75,8 @@ def sample_direction(data, variant: str = "standard", rng=None, seed: int | None
     for _ in range(16):
         direction = _draw(data, variant, rng)
         if np.any(direction != 0.0):
-            return ProjectionVector(direction=direction, variant=variant, seed=seed)
-    return ProjectionVector(direction=rng.standard_normal(data.d), variant=variant, seed=seed)
+            return ProjectionVector(direction=direction, variant=variant)
+    return ProjectionVector(direction=rng.standard_normal(data.d), variant=variant)
 
 
 def project(data, vec: ProjectionVector) -> np.ndarray:

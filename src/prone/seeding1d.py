@@ -34,7 +34,6 @@ list; exact midpoint ties go to the center on the right.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +82,11 @@ class SeedingStats:
 
     ``total_updates`` counts distance-array writes made by the outward
     scans; ``comparisons`` counts scan loop-condition evaluations (each
-    side evaluates once per write plus once to stop). ``wall_time`` is
-    seconds for the whole call.
+    side evaluates once per write plus once to stop).
     """
 
     total_updates: int = 0
     comparisons: int = 0
-    wall_time: float = 0.0
 
 
 def _validate(points: np.ndarray, k: int, z: float) -> None:
@@ -174,11 +171,8 @@ def _scan_right(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[i
     return j - 1, writes
 
 
-def seed_1d_fast(
-    points, k: int, z: float = 2.0, rng=None, collect_stats: bool = True
-) -> tuple[Seeding1DResult, SeedingStats]:
+def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DResult, SeedingStats]:
     """Tree-backed 1-D seeding in expected O(n log n) total work."""
-    t0 = time.perf_counter()
     xs_in = np.asarray(points, dtype=np.float64)
     _validate(xs_in, k, z)
     rng = as_generator(rng)
@@ -208,9 +202,8 @@ def seed_1d_fast(
         hi, w_right = _scan_right(xs, a, lt, z)
         tree.update(a, lo, hi + 1)
         chosen.append(lt)
-        if collect_stats:
-            stats.total_updates += w_left + w_right
-            stats.comparisons += w_left + w_right + 2
+        stats.total_updates += w_left + w_right
+        stats.comparisons += w_left + w_right + 2
 
     chosen_arr = np.array(chosen, dtype=np.intp)
     sort_perm = np.argsort(chosen_arr)
@@ -223,7 +216,6 @@ def seed_1d_fast(
         assignment=assignment,
         exhausted=exhausted,
     )
-    stats.wall_time = time.perf_counter() - t0
     return result, stats
 
 

@@ -142,7 +142,7 @@ def test_04_second_center_matches_conditional_d2_law():
     rng = np.random.default_rng(424242)
     counts = np.zeros((n, n), dtype=np.int64)
     for _ in range(runs):
-        res, _ = seed_1d_fast(pts, 2, z=2.0, rng=rng, collect_stats=False)
+        res, _ = seed_1d_fast(pts, 2, z=2.0, rng=rng)
         counts[res.center_indices[0], res.center_indices[1]] += 1
 
     worst = 0.0

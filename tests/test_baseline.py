@@ -269,6 +269,45 @@ class TestNonFiniteZ:
             kmeanspp_seed(pts, 5, z=z, rng=0)
 
 
+_CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
+# every entry point on points p; all coerce through as_dataset
+_ENTRY_POINTS = {
+    "kmeanspp_seed": lambda p: kmeanspp_seed(p, 2, z=2, rng=0),
+    "nearest_assignment": lambda p: nearest_assignment(p, _CENTERS),
+    "cost_with_nearest": lambda p: cost_with_nearest(p, _CENTERS),
+    "cost_with_assignment": lambda p: cost_with_assignment(p, _CENTERS, np.zeros(len(p), int)),
+    "centers_of_mass": lambda p: centers_of_mass(p, np.arange(len(p)) % 2, 2),
+    "lloyd_iterate": lambda p: lloyd_iterate(p, ClusteringModel(_CENTERS, None, 0.0, 2.0)),
+}
+
+
+class TestPointsCoercion:
+    @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+    def test_non_finite_points_rejected(self, name):
+        pts = np.random.default_rng(0).standard_normal((10, 2))
+        pts[3, 1] = np.nan
+        with pytest.raises(ValueError, match="points must be finite"):
+            _ENTRY_POINTS[name](pts)
+
+    @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+    def test_one_dimensional_array_rejected(self, name):
+        with pytest.raises(ValueError, match="2-D"):
+            _ENTRY_POINTS[name](np.arange(10.0))
+
+    def test_lloyd_validates_points_once(self, monkeypatch):
+        import prone.baseline as baseline
+
+        calls = []
+        real = baseline.as_dataset
+        monkeypatch.setattr(baseline, "as_dataset", lambda p: calls.append(p) or real(p))
+        pts = np.random.default_rng(1).standard_normal((50, 2))
+        model = kmeanspp_seed(pts, 3, z=2, rng=0)
+        calls.clear()
+        lloyd_iterate(pts, model, max_iters=5)
+        # one coercion of the raw array; every pass after it gets the Dataset back
+        assert sum(c is pts for c in calls) == 1
+
+
 class TestCentersOfMass:
     def test_two_point_mean(self):
         centers, relocated = centers_of_mass(as_dataset([[0.0, 0.0], [2.0, 0.0]]), np.array([0, 0]), k=1)

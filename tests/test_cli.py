@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from prone.cli import main
+import prone.cli
+from prone.cli import ALGORITHMS, main
 from prone.dataset import gen_gaussian_mixture, write_dense_csv
 
 
@@ -88,6 +89,35 @@ class TestCluster:
             "--seed", 0, "--output", tmp_path / "o",
         )
         assert code == 2
+
+    def test_record_keys_do_not_depend_on_algorithm(self, toy_csv, tmp_path, capsys):
+        for flags in ((), ("--stats", "--assign-nearest")):
+            key_sets = {}
+            for algo in ALGORITHMS:
+                code = run_cli(
+                    "cluster", "--input", toy_csv, "--k", 3, "--algo", algo, "--alpha", 0.5,
+                    "--seed", 2, *flags, "--output", tmp_path / algo,
+                )
+                assert code == 0
+                key_sets[algo] = set(json.loads(capsys.readouterr().out.strip()))
+            assert len({frozenset(keys) for keys in key_sets.values()}) == 1, key_sets
+
+    def test_reaches_the_names_tracers_wrap(self, toy_csv, tmp_path, capsys, monkeypatch):
+        # a benchmark trace wraps these module globals after import; each must
+        # still be looked up when ``main`` runs a cluster command
+        reached = []
+        for name in ("cmd_cluster", "load_dense_csv", "prone"):
+            real = getattr(prone.cli, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                reached.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(prone.cli, name, spy)
+        prone.cli._load_dataset.cache_clear()
+        code = run_cli("cluster", "--input", toy_csv, "--k", 3, "--output", tmp_path / "o")
+        assert code == 0
+        assert set(reached) == {"cmd_cluster", "load_dense_csv", "prone"}
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
@@ -204,6 +234,28 @@ class TestBench:
             records = [json.loads(line) for line in open(out)]
             outs.append(sorted((r["algorithm"], r["k"], r["cost_assignment"]) for r in records))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_cluster_reproduces_rep0_cell(self, algo, toy_csv, tmp_path, capsys):
+        suite = "boosted" if algo == "boosted" else "direct"
+        out = tmp_path / "cell.jsonl"
+        code = run_cli(
+            "bench", "--suite", suite, "--dataset", toy_csv, "--ks", 4, "--reps", 2,
+            "--seed", 6, "--alphas", 0.5, "--out", out,
+        )
+        assert code == 0
+        (cell,) = [
+            r for r in map(json.loads, open(out)) if r["algorithm"] == algo and r["rep"] == 0
+        ]
+        capsys.readouterr()
+        code = run_cli(
+            "cluster", "--input", toy_csv, "--k", 4, "--algo", algo, "--alpha", 0.5,
+            "--seed", 6, "--assign-nearest", "--output", tmp_path / "o",
+        )
+        assert code == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        for key in ("cost_assignment", "cost_nearest", "k_found"):
+            assert record[key] == cell[key], key
 
     def test_unknown_dataset(self, tmp_path, capsys):
         code = run_cli(

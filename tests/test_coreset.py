@@ -14,10 +14,8 @@ from prone.coreset import (
     AliasTable,
     boosted_prone,
     lightweight_distribution,
-    load_weighted_csv,
     sample_coreset,
     sensitivity_distribution,
-    write_weighted_csv,
 )
 from prone.dataset import as_dataset, gen_gaussian_mixture
 
@@ -160,18 +158,6 @@ class TestSampleCoreset:
         dist = sensitivity_distribution(data, model)
         with pytest.raises(ValueError):
             sample_coreset(data, dist, s=0, rng=0)
-
-
-class TestWeightedCsv:
-    def test_round_trip(self, tmp_path):
-        data, model = model_for([[0.5, -2.0], [1.0, 3.5], [4.0, 0.0]], [[0.0, 0.0]])
-        dist = sensitivity_distribution(data, model)
-        cs = sample_coreset(data, dist, s=5, rng=3)
-        path = tmp_path / "coreset.csv"
-        write_weighted_csv(cs, path)
-        back = load_weighted_csv(path)
-        np.testing.assert_array_equal(back.points, cs.points)
-        np.testing.assert_array_equal(back.weights, cs.weights)
 
 
 class TestBoosted:

@@ -15,6 +15,7 @@ from prone.dataset import (
     load_sparse,
     write_dense_csv,
 )
+from prone.pipeline import ProneConfig, prone
 
 
 class TestDataset:
@@ -34,6 +35,18 @@ class TestDataset:
     def test_dense_rows_read_only(self):
         data = as_dataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
+            data.points[0, 0] = 9.0
+
+    def test_callers_array_stays_writeable(self):
+        # a C-contiguous float64 array is wrapped without a copy; only the
+        # Dataset's own view of it is frozen
+        pts = np.arange(6.0).reshape(3, 2)
+        data = as_dataset(pts)
+        assert np.shares_memory(data.points, pts)
+        prone(pts, ProneConfig(k=2, seed=0))
+        assert pts.flags.writeable
+        pts[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
             data.points[0, 0] = 9.0
 
 

@@ -63,7 +63,7 @@ class TestWorkedExamples:
         counts = {1.0: 0, 3.0: 0}
         runs = 0
         for _ in range(120_000):
-            res, _ = seed_1d_fast([0, 1, 3], k=2, z=2, rng=rng, collect_stats=False)
+            res, _ = seed_1d_fast([0, 1, 3], k=2, z=2, rng=rng)
             if res.center_values[0] != 0.0:
                 continue  # condition on the forced first center
             runs += 1
