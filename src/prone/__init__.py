@@ -17,7 +17,6 @@ from .baseline import (
     pointwise_assignment_costs,
 )
 from .coreset import (
-    AliasTable,
     BoostedResult,
     SensitivityDistribution,
     WeightedCoreset,
@@ -50,7 +49,6 @@ from .seeding1d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasTable",
     "BoostedResult",
     "ClusteringModel",
     "Dataset",

@@ -7,6 +7,8 @@ the current total mass. For two implementations to make bit-identical
 decisions, the mass values and the total they are scaled by must also be
 bit-identical, so the power transform and the total live here and are
 shared by everything that samples proportionally to powered distances.
+Every such draw, and the coreset's batch of draws, maps its scaled uniform
+to an index through the one rule in :func:`inverse_cdf`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import math
 
 import numpy as np
 
-__all__ = ["as_generator", "check_z", "power_abs", "padded_pairwise_sum"]
+__all__ = [
+    "as_generator",
+    "check_z",
+    "check_masses",
+    "power_abs",
+    "padded_pairwise_sum",
+    "inverse_cdf",
+]
 
 
 def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Generator:
@@ -38,6 +47,22 @@ def check_z(z):
     if not (z >= 1 and math.isfinite(z)):
         raise ValueError(f"z={z} must be finite and >= 1")
     return z
+
+
+def check_masses(masses, n: int, name: str) -> np.ndarray:
+    """Return ``masses`` as float64 if a draw proportional to it is defined.
+
+    That needs one finite, nonnegative entry per point and a positive
+    total; anything else is rejected with ``name`` in the message.
+    """
+    m = np.asarray(masses, dtype=np.float64)
+    if m.shape != (n,):
+        raise ValueError(f"{name} must have one entry per point")
+    if not np.isfinite(m).all() or (m < 0).any():
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if not m.sum() > 0:
+        raise ValueError(f"{name} must not all be zero")
+    return m
 
 
 def power_abs(diff: np.ndarray, z: float) -> np.ndarray:
@@ -76,3 +101,20 @@ def padded_pairwise_sum(a: np.ndarray) -> float:
     while buf.size > 1:
         buf = buf[0::2] + buf[1::2]
     return float(buf[0])
+
+
+def inverse_cdf(masses: np.ndarray, r):
+    """Smallest index i with cumsum(masses)[i] > r, for a scalar or array r.
+
+    ``r`` is a uniform scaled by the masses' total. An ``r`` that rounds up
+    to or past the last prefix sum maps to the last positive mass. That
+    clamp is the only way to reach a zero mass: the sequential prefix sum
+    repeats its value across one, so the search never stops on it. The
+    O(n) search for the last positive mass therefore runs only when some
+    index comes back as n.
+    """
+    prefix = np.cumsum(masses)
+    idx = np.searchsorted(prefix, r, side="right")
+    if np.any(idx == prefix.size):
+        idx = np.minimum(idx, np.flatnonzero(masses)[-1])
+    return idx

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import as_generator, check_z, padded_pairwise_sum
+from ._util import as_generator, check_masses, check_z, inverse_cdf, padded_pairwise_sum
 from .dataset import as_dataset
 
 __all__ = [
@@ -203,26 +203,14 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
     check_z(z)
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("weights must have one entry per point")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise ValueError("weights must be finite and nonnegative")
-        if not w.sum() > 0:
-            raise ValueError("weights must not all be zero")
+    w = None if weights is None else check_masses(weights, n, "weights")
     rng = as_generator(rng)
     xn = _row_sq_norms(mat, sparse)
 
     if w is None:
         first = int(rng.integers(n))
     else:
-        r = rng.random() * padded_pairwise_sum(w)
-        first = int(np.searchsorted(np.cumsum(w), r, side="right"))
-        first = min(first, n - 1)
-        while w[first] == 0.0:
-            first -= 1
+        first = int(inverse_cdf(w, rng.random() * padded_pairwise_sum(w)))
 
     take_row = (lambda i: np.asarray(mat[i].todense()).ravel()) if sparse else (lambda i: mat[i])
     d2 = _sq_dists_to(mat, sparse, xn, take_row(first))
@@ -236,12 +224,7 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
         total = padded_pairwise_sum(masses)
         if not total > 0.0:
             break
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(masses), r, side="right"))
-        if idx >= n:
-            idx = n - 1
-        while masses[idx] == 0.0:
-            idx -= 1
+        idx = int(inverse_cdf(masses, rng.random() * total))
         nd2 = _sq_dists_to(mat, sparse, xn, take_row(idx))
         closer = nd2 < d2
         d2[closer] = nd2[closer]

@@ -12,7 +12,8 @@ Two distributions are provided:
 * lightweight: p_i = 1/(2n) + ||x_i - mean||^2 / (2 * sum of squares),
   which needs no clustering but hedges only against the mean.
 
-Sampling uses an alias table: O(n) build, O(1) per draw.
+Sampling inverts the cumulative distribution: one O(n) prefix sum, then a
+binary search per draw, O(n + s log n) for s draws.
 
 ``boosted_prone`` chains the projected pipeline into a sensitivity
 distribution, samples a coreset of ceil(alpha * n) points, and runs
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator, check_z
+from ._util import as_generator, check_masses, check_z, inverse_cdf, padded_pairwise_sum
 from .baseline import (
     ClusteringModel,
     _power_from_sq,
@@ -43,7 +44,6 @@ from .pipeline import ProneConfig, ProneResult, prone
 __all__ = [
     "SensitivityDistribution",
     "WeightedCoreset",
-    "AliasTable",
     "sensitivity_distribution",
     "lightweight_distribution",
     "sample_coreset",
@@ -72,46 +72,6 @@ class WeightedCoreset:
     @property
     def size(self) -> int:
         return int(self.weights.size)
-
-
-class AliasTable:
-    """Walker/Vose alias structure for O(1) draws from a fixed distribution."""
-
-    def __init__(self, probabilities) -> None:
-        p = np.asarray(probabilities, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probabilities must be a non-empty 1-D array")
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = p.sum()
-        if not total > 0:
-            raise ValueError("probabilities must not all be zero")
-        n = p.size
-        scaled = p * (n / total)
-        self.accept = np.ones(n, dtype=np.float64)
-        self.alias = np.arange(n, dtype=np.intp)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.accept[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            (small if scaled[l] < 1.0 else large).append(l)
-        for rest in (large, small):
-            for i in rest:
-                self.accept[i] = 1.0
-
-    def draw(self, rng, size: int) -> np.ndarray:
-        """Draw ``size`` independent indices."""
-        rng = as_generator(rng)
-        cols = rng.integers(self.alias.size, size=size)
-        us = rng.random(size)
-        take_alias = us >= self.accept[cols]
-        out = cols.copy()
-        out[take_alias] = self.alias[cols[take_alias]]
-        return out
 
 
 def sensitivity_distribution(points, model: ClusteringModel) -> SensitivityDistribution:
@@ -174,17 +134,17 @@ def sample_coreset(points, dist: SensitivityDistribution, s: int, rng=None) -> W
 
     The weight is the reciprocal of the *expected number of draws* of the
     point, which makes weighted sums unbiased (a plain reciprocal of the
-    probability would bias them by a factor of s).
+    probability would bias them by a factor of s). The probabilities may
+    be relative masses: draws and weights divide by the same total.
     """
     data = as_dataset(points)
     if s < 1:
         raise ValueError("coreset size must be >= 1")
-    p = dist.probabilities
-    if p.shape != (data.n,):
-        raise ValueError("distribution length does not match the data")
+    p = check_masses(dist.probabilities, data.n, "probabilities")
     rng = as_generator(rng)
-    idx = AliasTable(p).draw(rng, s)
-    weights = 1.0 / (s * p[idx])
+    total = padded_pairwise_sum(p)
+    idx = inverse_cdf(p, rng.random(s) * total)
+    weights = total / (s * p[idx])
     if data.is_sparse:
         rows = np.asarray(data.points[idx].todense())
     else:

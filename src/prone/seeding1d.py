@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator, check_z, padded_pairwise_sum, power_abs
+from ._util import as_generator, check_z, inverse_cdf, padded_pairwise_sum, power_abs
 from .sampling_tree import SamplingTree
 
 __all__ = [
@@ -245,13 +245,7 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
         if not total > 0.0:
             exhausted = True
             break
-        r = rng.random() * total
-        prefix = np.cumsum(a)
-        lt = int(np.searchsorted(prefix, r, side="right"))
-        if lt >= n:  # r within an ulp of the total
-            lt = n - 1
-        while a[lt] == 0.0:
-            lt -= 1
+        lt = int(inverse_cdf(a, rng.random() * total))
         a = np.minimum(a, power_abs(xs - xs[lt], z))
         chosen.append(lt)
 

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prone._util import padded_pairwise_sum
 from prone.baseline import (
     _COST_CHUNK,
     ClusteringModel,
@@ -259,6 +260,29 @@ class TestKmeansppSeed:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             kmeanspp_seed(as_dataset([[1.0]]), k=2, z=2, rng=0)
+
+    def test_weighted_first_center_matches_walk_back_rule(self):
+        def walk_back_first(w, rng):
+            # the draw before the shared inverse-CDF helper
+            r = rng.random() * padded_pairwise_sum(w)
+            first = min(int(np.searchsorted(np.cumsum(w), r, side="right")), w.size - 1)
+            while w[first] == 0.0:
+                first -= 1
+            return first
+
+        gen = np.random.default_rng(12)
+        for trial in range(200):
+            n = int(gen.integers(1, 40))
+            w = gen.exponential(size=n) * 10.0 ** gen.integers(-300, 300)
+            w[gen.random(n) < 0.5] = 0.0
+            w[: gen.integers(0, 3)] = 0.0
+            w[n - int(gen.integers(0, 3)) :] = 0.0
+            if not w.sum() > 0:
+                w[int(gen.integers(n))] = 1.0
+            pts = as_dataset(np.arange(float(n))[:, None])
+            model = kmeanspp_seed(pts, 1, z=2, rng=np.random.default_rng(trial), weights=w)
+            expect = walk_back_first(w, np.random.default_rng(trial))
+            assert model.centers[0, 0] == expect, f"trial {trial}"
 
 
 class TestNonFiniteZ:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prone._util import inverse_cdf, padded_pairwise_sum
 from prone.baseline import (
     ClusteringModel,
     cost_with_assignment,
@@ -11,7 +14,7 @@ from prone.baseline import (
     nearest_assignment,
 )
 from prone.coreset import (
-    AliasTable,
+    SensitivityDistribution,
     boosted_prone,
     lightweight_distribution,
     sample_coreset,
@@ -91,37 +94,104 @@ class TestLightweightDistribution:
         np.testing.assert_allclose(dist.probabilities, expect, rtol=1e-12)
 
 
-class TestAliasTable:
+def dist_of(probabilities):
+    p = np.asarray(probabilities, dtype=np.float64)
+    return SensitivityDistribution(p, cost_share=np.zeros_like(p), size_share=np.zeros_like(p))
+
+
+def line(n):
+    return as_dataset(np.arange(float(n))[:, None])
+
+
+def walk_back_inverse_cdf(masses, r):
+    """The rule before the shared helper: search, clamp to n - 1, walk back over zeros."""
+    n = masses.size
+    idx = int(np.searchsorted(np.cumsum(masses), r, side="right"))
+    if idx >= n:
+        idx = n - 1
+    while masses[idx] == 0.0:
+        idx -= 1
+    return idx
+
+
+masses_with_zeros = st.tuples(
+    st.integers(0, 3),
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.floats(0.0, 1e-300)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(0, 3),
+).map(lambda t: np.array([0.0] * t[0] + t[1] + [0.0] * t[2])).filter(lambda m: m.sum() > 0)
+
+
+class TestInverseCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(masses=masses_with_zeros, data=st.data())
+    def test_matches_walk_back_rule(self, masses, data):
+        top = float(np.cumsum(masses)[-1])
+        r_values = st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0).map(lambda u: u * top),
+            st.sampled_from([top, np.nextafter(top, np.inf), 2.0 * top, padded_pairwise_sum(masses)]),
+        )
+        rs = data.draw(st.lists(r_values, min_size=1, max_size=8))
+        expect = [walk_back_inverse_cdf(masses, r) for r in rs]
+        assert [int(inverse_cdf(masses, r)) for r in rs] == expect
+        np.testing.assert_array_equal(inverse_cdf(masses, np.array(rs)), expect)
+
+    def test_edges(self):
+        m = np.array([0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0])
+        assert int(inverse_cdf(m, 0.0)) == 2  # leading zeros are skipped
+        assert int(inverse_cdf(m, 2.0)) == 4  # interior zero is skipped
+        assert int(inverse_cdf(m, 3.0)) == 4  # at the total: last positive mass
+        assert int(inverse_cdf(m, 1e9)) == 4
+        np.testing.assert_array_equal(inverse_cdf(m, np.array([0.0, 1.999, 2.5, 3.0])), [2, 2, 4, 4])
+
+
+class TestCoresetDraws:
     def test_single_outcome(self):
-        table = AliasTable([1.0])
-        assert table.draw(np.random.default_rng(0), 10).tolist() == [0] * 10
+        cs = sample_coreset(line(1), dist_of([1.0]), s=10, rng=np.random.default_rng(0))
+        assert cs.source_indices.tolist() == [0] * 10
+        np.testing.assert_array_equal(cs.weights, np.full(10, 0.1))
 
     def test_empirical_frequencies(self):
         probs = np.array([0.5, 0.3, 0.2])
-        table = AliasTable(probs)
-        draws = table.draw(np.random.default_rng(9), 60_000)
-        freq = np.bincount(draws, minlength=3) / 60_000
+        cs = sample_coreset(line(3), dist_of(probs), s=60_000, rng=np.random.default_rng(9))
+        freq = np.bincount(cs.source_indices, minlength=3) / 60_000
         se = np.sqrt(probs * (1 - probs) / 60_000)
         assert (np.abs(freq - probs) < 3 * se).all()
 
     def test_reproducible(self):
-        table = AliasTable([0.25, 0.75])
-        a = table.draw(np.random.default_rng(4), 100)
-        b = table.draw(np.random.default_rng(4), 100)
-        np.testing.assert_array_equal(a, b)
+        dist = dist_of([0.25, 0.75])
+        a = sample_coreset(line(2), dist, s=100, rng=np.random.default_rng(4))
+        b = sample_coreset(line(2), dist, s=100, rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(a.source_indices, b.source_indices)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_normalizes_relative_masses(self):
         # inputs are relative masses; [1, 3] behaves like [0.25, 0.75]
-        draws = AliasTable([1.0, 3.0]).draw(np.random.default_rng(2), 40_000)
-        assert draws.mean() == pytest.approx(0.75, abs=3 * np.sqrt(0.1875 / 40_000))
+        cs = sample_coreset(line(2), dist_of([1.0, 3.0]), s=40_000, rng=np.random.default_rng(2))
+        assert cs.source_indices.mean() == pytest.approx(0.75, abs=3 * np.sqrt(0.1875 / 40_000))
+
+    def test_relative_masses_scale_weights_too(self):
+        p = np.random.default_rng(3).random(50)
+        p /= p.sum()
+        a = sample_coreset(line(50), dist_of(p), s=200, rng=np.random.default_rng(7))
+        b = sample_coreset(line(50), dist_of(4.0 * p), s=200, rng=np.random.default_rng(7))
+        np.testing.assert_array_equal(a.source_indices, b.source_indices)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_rejects_bad_masses(self):
-        with pytest.raises(ValueError):
-            AliasTable([-0.1, 1.1])
-        with pytest.raises(ValueError):
-            AliasTable([0.0, 0.0])
-        with pytest.raises(ValueError):
-            AliasTable([])
+        bad = {
+            "must be finite and nonnegative": ([-0.1, 1.1], [np.nan, 1.0], [np.inf, 1.0]),
+            "must not all be zero": ([0.0, 0.0],),
+            "must have one entry per point": ([], [1.0], [0.2, 0.3, 0.5]),
+        }
+        for message, cases in bad.items():
+            for probs in cases:
+                with pytest.raises(ValueError, match=f"probabilities {message}"):
+                    sample_coreset(line(2), dist_of(probs), s=4, rng=0)
 
 
 class TestSampleCoreset:
