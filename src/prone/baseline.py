@@ -3,7 +3,10 @@
 Costs use Euclidean distances raised to the power z >= 1. Two evaluation
 modes exist: against a fixed assignment, which is O(nnz + kd) and is the
 primary reported cost, and against the nearest center, which is the
-classical O(ndk) objective and is computed in chunks to bound memory.
+classical O(ndk) objective. ``nearest_assignment`` works through blocks of
+about 128k / k rows, so each block x k distance array is about 1 MiB and
+stays in cache, and it expands distances about one origin per call (the
+mean of the centers), so labels do not depend on where the data sit.
 
 ``kmeanspp_seed`` is the standard powered-distance seeding, optionally
 weighted (a weighted point set behaves like the multiset with that many
@@ -44,6 +47,7 @@ __all__ = [
     "lloyd_iterate",
 ]
 
+# most rows per nearest_assignment block
 _CHUNK = 65536
 # rows per block of pointwise_assignment_costs; small, because each block
 # allocates a few (rows, d) temporaries on top of the caller's data
@@ -96,37 +100,39 @@ def _check_centers(centers) -> np.ndarray:
 
 
 def nearest_assignment(points, centers, chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest center per point: returns (assignment, squared distances)."""
+    """Nearest center per point: returns (assignment, squared distances).
+
+    The argmin is taken over ``||c'||^2 - 2 (x - o).c'`` with ``c' = c - o``
+    for one origin ``o`` per call (the mean of the centers), so the result
+    does not depend on where the data sit or on ``chunk``. Dense blocks are
+    shifted by ``o``; sparse rows are not (that would densify them), so
+    their cross term is ``x.c' - o.c'``. The winner's squared distance is
+    the one :func:`pointwise_assignment_costs` gives for that assignment.
+    """
     data = as_dataset(points)
     mat, sparse = data.points, data.is_sparse
     c = _check_centers(centers)
-    n = data.n
+    n, k = data.n, c.shape[0]
     if c.shape[1] != data.d:
         raise ValueError("dimension mismatch between points and centers")
     if chunk is None:
-        # cap the chunk x k distance block at ~16M doubles
-        chunk = max(256, min(_CHUNK, 16_777_216 // c.shape[0]))
-    cn = np.einsum("ij,ij->i", c, c)
+        # a chunk x k distance block of ~1 MiB, which stays in L2 cache
+        chunk = max(256, min(_CHUNK, 131_072 // k))
+    origin = c.mean(axis=0)
+    shifted = c - origin
+    # scaling by -2 is exact, so folding it into the centers rounds nothing
+    cT = -2.0 * shifted.T
+    bias = np.einsum("ij,ij->i", shifted, shifted)
+    if sparse:
+        # rows stay unshifted: (x - o).c' = x.c' - o.c'
+        bias -= origin @ cT
     assignment = np.empty(n, dtype=np.intp)
-    d2 = np.empty(n, dtype=np.float64)
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = mat[lo:hi]
-        xn = _row_sq_norms(block, sparse)
-        cross = block @ c.T
-        if sparse:
-            cross = np.asarray(cross)
-        dist = xn[:, None] - 2.0 * cross + cn[None, :]
-        idx = np.argmin(dist, axis=1)
-        assignment[lo:hi] = idx
-        if sparse:
-            d2[lo:hi] = np.maximum(dist[np.arange(hi - lo), idx], 0.0)
-        else:
-            # recompute the winning distance by differencing: exact 0 when
-            # a point coincides with its center, unlike the expanded form
-            diff = block - c[idx]
-            d2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
-    return assignment, d2
+        block = mat[lo : lo + chunk]
+        dist = np.asarray(block @ cT) if sparse else (block - origin) @ cT
+        dist += bias
+        np.argmin(dist, axis=1, out=assignment[lo : lo + chunk])
+    return assignment, pointwise_assignment_costs(data, c, assignment)
 
 
 def cost_with_nearest(points, centers, z: float = 2.0, weights=None) -> float:

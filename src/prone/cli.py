@@ -227,7 +227,7 @@ def cmd_cluster(args) -> int:
     labels_path = f"{args.output}.labels.txt"
     write_dense_csv(Dataset(np.atleast_2d(run.centers)), centers_path)
     with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{int(v)}\n" for v in run.labels)
+        fh.write("\n".join(map(str, run.labels.tolist())) + "\n")
     record = {
         "command": "cluster", "algorithm": args.algo, "input": args.input,
         "n": data.n, "d": data.d, "k": args.k, "z": args.z, "seed": args.seed,

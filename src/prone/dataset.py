@@ -14,6 +14,8 @@ Parse errors name the offending line. Writing a dense dataset uses full
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -109,31 +111,65 @@ def as_dataset(data) -> Dataset:
     return Dataset(data)
 
 
-def load_dense_csv(path, has_header: bool = False) -> Dataset:
-    """Load a dense CSV file of floats, one point per row."""
-    rows: list[list[float]] = []
+def _read_rows(lines, **kwargs) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64, **kwargs)
+
+
+def _data_lines(fh, has_header: bool):
+    """Each line that holds data, with its 1-based line number in the file."""
+    for lineno, line in enumerate(fh, start=1):
+        if not (line.isspace() or (has_header and lineno == 1)):
+            yield lineno, line
+
+
+def _first_bad_line(path, lines) -> DatasetFormatError | None:
+    """The first data line, in file order, that is not a row like the first one."""
     width = None
+    for lineno, line in lines:
+        fields = line.split(",")
+        width = width or len(fields)
+        if len(fields) != width:
+            return DatasetFormatError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+            )
+        try:
+            _read_rows([line])
+        except ValueError:
+            for col, field in enumerate(fields):
+                try:
+                    _read_rows([line], usecols=col)
+                except ValueError:
+                    return DatasetFormatError(
+                        f"{path}: line {lineno}: could not convert {field.strip()!r} to float"
+                    )
+    return None
+
+
+def load_dense_csv(path, has_header: bool = False) -> Dataset:
+    """Load a dense CSV file of floats, one point per row.
+
+    Blank and whitespace-only lines are skipped, and so is line 1 when
+    ``has_header``. Every other line must have as many comma-separated
+    fields as the first. Fields follow ``np.loadtxt`` syntax, with optional
+    surrounding whitespace; spellings only Python's ``float`` accepts, such
+    as ``1_000``, are rejected. Conversion is correctly rounded, so
+    ``write_dense_csv`` output reloads bit for bit.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if lineno == 1 and has_header:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64))
+        rows = (line for _, line in _data_lines(fh, has_header))
+        first = next(rows, None)
+        if first is None:
+            raise DatasetFormatError(f"{path}: no data rows")
+        try:
+            mat = _read_rows(itertools.chain((first,), rows))
+        except ValueError:
+            # np.loadtxt's messages count rows, not file lines: find the line again
+            fh.seek(0)
+            bad = _first_bad_line(path, _data_lines(fh, has_header))
+            if bad is None:
+                raise
+            raise bad from None
+    return Dataset(mat)
 
 
 def write_dense_csv(data: Dataset, path, header: list[str] | None = None) -> None:

@@ -1,10 +1,13 @@
 """Tests for d-dimensional costs, k-means++ seeding, center updates, and Lloyd refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prone._util import padded_pairwise_sum
 from prone.baseline import (
@@ -82,6 +85,34 @@ def per_cluster_assignment_costs(mat, centers, sigma, z):
     return d2 if z == 2 else np.sqrt(d2) if z == 1 else d2 ** (z / 2.0)
 
 
+def expanded_form_nearest_assignment(mat, centers, chunk=None):
+    """Reference: argmin of ||x||^2 - 2 x.c + ||c||^2 over chunks of up to 65 536 rows."""
+    n, k = mat.shape[0], centers.shape[0]
+    if chunk is None:
+        chunk = max(256, min(65536, 16_777_216 // k))
+    cn = np.einsum("ij,ij->i", centers, centers)
+    assignment = np.empty(n, dtype=np.intp)
+    d2 = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        block = mat[lo:hi]
+        if sp.issparse(mat):
+            xn = np.asarray(block.multiply(block).sum(axis=1)).ravel()
+            cross = np.asarray(block @ centers.T)
+        else:
+            xn = np.einsum("ij,ij->i", block, block)
+            cross = block @ centers.T
+        dist = xn[:, None] - 2.0 * cross + cn[None, :]
+        idx = np.argmin(dist, axis=1)
+        assignment[lo:hi] = idx
+        if sp.issparse(mat):
+            d2[lo:hi] = np.maximum(dist[np.arange(hi - lo), idx], 0.0)
+        else:
+            diff = block - centers[idx]
+            d2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+    return assignment, d2
+
+
 def _lift_instance(seed, n, sparse):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
@@ -124,6 +155,57 @@ class TestBitIdenticalToReferences:
         centers = rng.standard_normal((k, 6)) * 100.0
         got = pointwise_assignment_costs(mat, centers, sigma, z)
         np.testing.assert_array_equal(got, per_cluster_assignment_costs(mat, centers, sigma, z))
+
+
+    # k = 512 puts the default block at 256 rows; n straddles its edges
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * 256 + 1])
+    @pytest.mark.parametrize("k", [7, 512])
+    @pytest.mark.parametrize("chunk", [13, 256, None])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_nearest_assignment(self, n, k, chunk, sparse):
+        mat, _, _, rng = _lift_instance(n + 2, n, sparse)
+        centers = rng.standard_normal((k, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
+        got = nearest_assignment(mat, centers, chunk=chunk)
+        want = expanded_form_nearest_assignment(mat, centers, chunk)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestNearestAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sparse=st.booleans(), shift=st.sampled_from([1e9, -1e9]))
+    def test_labels_equal_brute_force_under_shift(self, data, sparse, shift):
+        # points lie within 2 sqrt(5) < 5 of a lattice center 10 apart from
+        # every other, so the generating center is the only nearest one
+        d = data.draw(st.integers(1, 5), label="d")
+        lattice = st.tuples(*[st.integers(-4, 4)] * d)
+        grid = data.draw(st.lists(lattice, min_size=1, max_size=8, unique=True), label="grid")
+        centers = 10.0 * np.array(grid, dtype=np.float64)
+        n = data.draw(st.integers(1, 40), label="n")
+        truth = np.array(data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n)))
+        offsets = data.draw(arrays(np.float64, (n, d), elements=st.floats(-2.0, 2.0)))
+        pts = centers[truth] + offsets + shift
+        shifted_centers = centers + shift
+        brute = ((pts[:, None, :] - shifted_centers[None]) ** 2).sum(axis=2).argmin(axis=1)
+        np.testing.assert_array_equal(brute, truth)
+        labels, d2 = nearest_assignment(sp.csr_matrix(pts) if sparse else pts, shifted_centers)
+        np.testing.assert_array_equal(labels, truth)
+        if not sparse:
+            diff = pts - shifted_centers[truth]
+            np.testing.assert_array_equal(d2, np.einsum("ij,ij->i", diff, diff))
+
+    def test_temporaries_stay_small(self):
+        # one n x k distance table would be 50 000 * 100 * 8 B = 40 MB
+        rng = np.random.default_rng(4)
+        pts = as_dataset(rng.standard_normal((50_000, 16)))
+        centers = rng.standard_normal((100, 16))
+        tracemalloc.start()
+        try:
+            nearest_assignment(pts, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCosts:

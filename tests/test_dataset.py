@@ -1,6 +1,8 @@
 """Tests for the data model, file formats, and synthetic generators."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +85,78 @@ class TestDenseCsv:
         write_dense_csv(as_dataset(original), p)
         reloaded = load_dense_csv(p).to_dense()
         np.testing.assert_array_equal(reloaded, original)  # full-precision format
+
+
+def _load_text(tmp_path, text, has_header=False):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    return load_dense_csv(p, has_header=has_header)
+
+
+class TestDenseCsvLines:
+    def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
+        data = _load_text(tmp_path, "1,2\n\n   \n\t\n3,4\n  \n")
+        np.testing.assert_array_equal(data.to_dense(), [[1, 2], [3, 4]])
+
+    def test_bad_field_after_header_and_blank_lines(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match=r"t\.csv: line 5: could not convert 'x'"):
+            _load_text(tmp_path, "a,b\n\n1,2\n \n3,x\n", has_header=True)
+
+    def test_short_row_after_header_and_blank_lines(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 5: expected 2 fields, got 1"):
+            _load_text(tmp_path, "a,b\n\n1,2\n\n3\n", has_header=True)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 2: could not convert"):
+            _load_text(tmp_path, "1,2\n3,?\n1,2,3\n")
+        with pytest.raises(DatasetFormatError, match="line 2: expected 2 fields"):
+            _load_text(tmp_path, "1,2\n1,2,3\n3,?\n")
+
+    @pytest.mark.parametrize("bad, message", [("7,oops", "could not convert 'oops'"), ("7", "expected 2 fields")])
+    def test_bad_line_far_into_the_file(self, tmp_path, bad, message):
+        text = "1.5,2.5\n" * 50_001 + bad + "\n" + "1,2\n" * 3
+        with pytest.raises(DatasetFormatError, match=f"line 50002: {message}"):
+            _load_text(tmp_path, text)
+
+    def test_crlf_line_endings(self, tmp_path):
+        data = _load_text(tmp_path, "1,2\r\n\r\n3,4\r\n")
+        np.testing.assert_array_equal(data.to_dense(), [[1, 2], [3, 4]])
+        with pytest.raises(DatasetFormatError, match="line 3: could not convert 'x'"):
+            _load_text(tmp_path, "1,2\r\n\r\nx,4\r\n")
+
+    @pytest.mark.parametrize("text, has_header", [("", False), ("a,b\n", True), (" \n\n", False)])
+    def test_no_rows_without_numpy_warning(self, tmp_path, text, has_header):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="no data rows"):
+                _load_text(tmp_path, text, has_header=has_header)
+
+    def test_python_only_spelling_rejected(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 1: could not convert '1_000'"):
+            _load_text(tmp_path, "1_000,2\n")
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+        original = np.array(values).reshape(-1, 1) * np.array([1.0, -1.0])
+        p = tmp_path / "x.csv"
+        write_dense_csv(as_dataset(original), p)
+        reloaded = load_dense_csv(p).to_dense()
+        np.testing.assert_array_equal(reloaded.view(np.uint64), original.view(np.uint64))
+
+    def test_peak_memory_near_the_matrix(self, tmp_path):
+        # a list of Python floats per row costs several times the float64 matrix
+        original = np.random.default_rng(8).standard_normal((20_000, 16))
+        p = tmp_path / "m.csv"
+        write_dense_csv(as_dataset(original), p)
+        tracemalloc.start()
+        try:
+            data = load_dense_csv(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(data.to_dense(), original)
+        assert peak < 2 * original.nbytes
 
 
 class TestSparse:
