@@ -68,14 +68,17 @@ def check_masses(masses, n: int, name: str) -> np.ndarray:
 def power_abs(diff: np.ndarray, z: float) -> np.ndarray:
     """Elementwise |diff|**z with exact zeros and fast paths for z=1, 2.
 
-    General z is evaluated as exp(z*ln|x|) so that every caller rounds the
-    same way; |x| = 0 maps to 0 exactly (no log singularity).
+    For z=2 the square is taken without the ``abs``: negation is exact and
+    squaring clears the sign, so d*d equals |d|*|d| bit for bit. General z
+    is evaluated as exp(z*ln|x|) so that every caller rounds the same way;
+    |x| = 0 maps to 0 exactly (no log singularity).
     """
-    ad = np.abs(np.asarray(diff, dtype=np.float64))
+    d = np.asarray(diff, dtype=np.float64)
+    if z == 2:
+        return d * d
+    ad = np.abs(d)
     if z == 1:
         return ad
-    if z == 2:
-        return ad * ad
     out = np.zeros_like(ad)
     nz = ad > 0
     out[nz] = np.exp(z * np.log(ad[nz]))

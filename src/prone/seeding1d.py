@@ -13,6 +13,20 @@ contiguous interval, so a draw costs O(log n) for the tree lookup plus the
 length of the interval, and the intervals sum to O(n log n) in expectation
 over a whole run.
 
+One draw makes a fixed, small number of numpy calls. The repair computes
+the powered distances on a window of ``_WINDOW`` points each side of the
+new center, and one comparison with the current masses finds the first
+point on each side that the new center does not improve; only a side
+whose run reaches the window's edge continues with a scan in doubling
+blocks. The tree then gets one ``update`` over the whole written range,
+which validates the masses and recomputes their ancestors. The uniforms
+for all k - 1 draws come from one ``rng.random(k - 1)`` call, which on
+numpy's generators yields the same values and leaves the same state as
+k - 1 scalar calls. If the run exhausts after j draws, the generator is
+reset to its state before that call and advanced by ``rng.random(j)``,
+so it ends exactly where a scalar loop would have left it; callers such
+as the boosted pipeline keep drawing from it.
+
 ``seed_1d_naive`` recomputes all n distances after every draw (O(nk)). It
 exists as an oracle: both functions consume randomness identically (one
 uniform integer for the first center, then exactly one uniform real per
@@ -49,9 +63,13 @@ __all__ = [
     "assign_to_sorted_centers",
 ]
 
-# Length of a scan's first block. A numpy call's fixed cost is about that of
-# a few hundred elements of scan work, so starting here wastes at most about
-# one call on a short interval and saves several doublings on a long one.
+# Points scanned on each side of a new center in one pass. Most improved
+# runs are shorter, so one comparison settles both sides of a draw.
+_WINDOW = 256
+
+# Length of a fallback scan's first block. A numpy call's fixed cost is
+# about that of a few hundred elements of scan work, so starting here wastes
+# at most about one call on a short run and saves doublings on a long one.
 _FIRST_BLOCK = 512
 
 
@@ -81,8 +99,10 @@ class SeedingStats:
     """Instrumentation for one fast-seeding run.
 
     ``total_updates`` counts distance-array writes made by the outward
-    scans; ``comparisons`` counts scan loop-condition evaluations (each
-    side evaluates once per write plus once to stop).
+    scans (the new center's own zero is not counted); ``comparisons``
+    counts the loop-condition evaluations of a scalar outward walk, which
+    tests once per write plus once to stop on each side, so always
+    ``comparisons == total_updates + 2 * (k_found - 1)``.
     """
 
     total_updates: int = 0
@@ -113,62 +133,63 @@ def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, xs
 
 
-def _scan_left(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int, int]:
-    """Improve masses left of ``center``; return (lowest updated index, writes).
+def _improve(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int, int]:
+    """Lower ``a`` to |x_i - x_center|^z on the improved run around ``center``.
 
-    Walks i = center-1, center-2, ... while |x_i - x_center|^z < a_i,
-    overwriting a_i. Vectorized in geometrically growing blocks; the
-    semantics match the scalar loop exactly because the power transform is
-    monotone, so the first non-improving point ends the improved interval.
+    The run extends on each side while the new center improves a point, up
+    to the first point it does not improve; ``a[center]`` must already be
+    0, so the center stops both sides (0 >= 0). The power transform is
+    monotone, so the first non-improving point on a side ends its run
+    exactly as a scalar walk would. One comparison over a window of
+    ``_WINDOW`` points per side finds both stops; a side whose run reaches
+    the window's edge continues with :func:`_scan_out`. Returns the range
+    [lo, hi) of written entries, the center included.
     """
-    c = xs[center]
-    i = center - 1
-    block = _FIRST_BLOCK
-    writes = 0
-    while i >= 0:
-        lo = max(0, i - block + 1)
-        vals = power_abs(xs[lo : i + 1] - c, z)
-        improve = vals < a[lo : i + 1]
-        from_right = improve[::-1]
-        if from_right.all():
-            a[lo : i + 1] = vals
-            writes += i + 1 - lo
-            i = lo - 1
-            block <<= 1
-        else:
-            run = int(np.argmin(from_right))  # improving run length at the right edge
-            if run:
-                a[i - run + 1 : i + 1] = vals[vals.size - run :]
-                writes += run
-            i -= run
-            break
-    return i + 1, writes
-
-
-def _scan_right(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int, int]:
-    """Mirror image of :func:`_scan_left`; returns (highest updated index, writes)."""
     n = xs.size
     c = xs[center]
-    j = center + 1
+    w0 = max(center - _WINDOW, 0)
+    w1 = min(center + _WINDOW + 1, n)
+    vals = power_abs(xs[w0:w1] - c, z)
+    # the method forms skip the dispatch of np.flatnonzero/np.searchsorted
+    stops = (vals >= a[w0:w1]).nonzero()[0]
+    at = int(stops.searchsorted(center - w0))  # stops[at] is the center
+    lo = w0 + int(stops[at - 1]) + 1 if at else w0
+    hi = w0 + int(stops[at + 1]) if at + 1 < stops.size else w1
+    a[lo:hi] = vals[lo - w0 : hi - w0]
+    if lo == w0 > 0:
+        lo = _scan_out(xs, a, c, w0 - 1, -1, z) + 1
+    if hi == w1 < n:
+        hi = _scan_out(xs, a, c, w1, 1, z)
+    return lo, hi
+
+
+def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: float) -> int:
+    """Continue an improving run from index ``i`` in direction ``step`` (+-1).
+
+    Writes |x_j - c|^z over ``a`` for j = i, i + step, ... while it is
+    smaller, in blocks that double in length, and returns the first index
+    it did not improve (-1 or n past either end).
+    """
+    n = xs.size
     block = _FIRST_BLOCK
-    writes = 0
-    while j < n:
-        hi = min(n, j + block)
-        vals = power_abs(xs[j:hi] - c, z)
-        improve = vals < a[j:hi]
-        if improve.all():
-            a[j:hi] = vals
-            writes += hi - j
-            j = hi
-            block <<= 1
+    while 0 <= i < n:
+        if step > 0:
+            part = slice(i, min(i + block, n))
         else:
-            run = int(np.argmin(improve))
-            if run:
-                a[j : j + run] = vals[:run]
-                writes += run
-            j += run
+            part = slice(max(i - block, -1) + 1, i + 1)
+        # both reversed when walking left, so index 0 is nearest the center
+        vals = power_abs(xs[part][::step] - c, z)
+        seg = a[part][::step]  # a view: writes land in ``a``
+        improve = vals < seg
+        run = int(np.argmin(improve))  # first point not improved, 0 if all are
+        if improve[run]:
+            run = improve.size
+        seg[:run] = vals[:run]
+        i += step * run
+        if run < improve.size:
             break
-    return j - 1, writes
+        block <<= 1
+    return i
 
 
 def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DResult, SeedingStats]:
@@ -185,25 +206,30 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     a[first] = 0.0
     tree = SamplingTree(a)
     chosen = [first]
-    stats = SeedingStats()
+    writes = 0
     exhausted = False
 
-    for _ in range(k - 1):
+    state = rng.bit_generator.state
+    # a memoryview yields each uniform as a Python float, one at a time
+    for u in memoryview(rng.random(k - 1)):
         total = tree.total
         if not total > 0.0:
             exhausted = True
+            # give back the uniforms this run did not use
+            rng.bit_generator.state = state
+            rng.random(len(chosen) - 1)
             break
-        r = rng.random() * total
+        r = u * total
         if r >= total:  # u close to 1 can round u*total up to total
             r = np.nextafter(total, 0.0)
         lt = tree.find(r)
         a[lt] = 0.0
-        lo, w_left = _scan_left(xs, a, lt, z)
-        hi, w_right = _scan_right(xs, a, lt, z)
-        tree.update(a, lo, hi + 1)
+        lo, hi = _improve(xs, a, lt, z)
+        tree.update(a, lo, hi)
         chosen.append(lt)
-        stats.total_updates += w_left + w_right
-        stats.comparisons += w_left + w_right + 2
+        writes += hi - lo - 1
+    draws = len(chosen) - 1
+    stats = SeedingStats(total_updates=writes, comparisons=writes + 2 * draws)
 
     chosen_arr = np.array(chosen, dtype=np.intp)
     sort_perm = np.argsort(chosen_arr)

@@ -123,6 +123,55 @@ class TestUpdate:
         with pytest.raises(ValueError):
             tree.update([1, 1], 0, 1)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "masses must be finite"),
+            (float("inf"), "masses must be finite"),
+            (float("-inf"), "masses must be finite"),
+            (-1e-300, "masses must be nonnegative"),
+            (-2.0, "masses must be nonnegative"),
+        ],
+    )
+    @pytest.mark.parametrize("full", [False, True])
+    def test_rejection_messages(self, bad, message, full):
+        tree = SamplingTree([1.0, 2.0, 3.0, 4.0, 5.0])
+        vals = [0.5, bad, 0.5]
+        a = [9.0] + vals + [9.0] if full else vals
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tree.update(a, 1, 4)
+        assert tree.masses.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]  # nothing written
+        tree.check_consistency()
+
+    def test_non_finite_reported_before_negative(self):
+        tree = SamplingTree([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^masses must be finite$"):
+            tree.update([-1.0, float("nan")], 0, 2)
+
+    def test_accepts_negative_zero(self):
+        tree = SamplingTree([1.0, 2.0, 3.0])
+        tree.update([-0.0, 4.0], 0, 2)
+        assert tree.total == 7.0
+        assert tree.find(0.0) == 1
+        tree.check_consistency()
+
+    def test_internal_node_count_across_scalar_levels(self):
+        # widths 1..64 from every offset mod 16 cross the width at which the
+        # update switches between numpy and scalar adds
+        tree = SamplingTree(np.ones(200))
+        rng = np.random.default_rng(4)
+        for start in range(16, 32):
+            for width in range(1, 65):
+                stop = start + width
+                tree.update(rng.random(width), start, stop)
+                ancestors = sum(
+                    ((tree.capacity + stop - 1) >> level) - ((tree.capacity + start) >> level) + 1
+                    for level in range(1, tree.capacity.bit_length())
+                )
+                assert tree.last_update_leaf_nodes == width
+                assert tree.last_update_internal_nodes == ancestors
+                tree.check_consistency()
+
 
 @settings(max_examples=200, deadline=None)
 @given(

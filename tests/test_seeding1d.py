@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prone.seeding1d import _sort, assign_to_sorted_centers, seed_1d_fast, seed_1d_naive
+from prone._util import power_abs
+from prone.seeding1d import (
+    _WINDOW,
+    _improve,
+    _sort,
+    assign_to_sorted_centers,
+    seed_1d_fast,
+    seed_1d_naive,
+)
 
 
 def brute_force_assign(points, center_values):
@@ -252,3 +260,158 @@ class TestSort:
         order, xs = _sort(x)
         np.testing.assert_array_equal(order, np.argsort(x, kind="stable"))
         np.testing.assert_array_equal(xs, np.sort(x))
+
+
+def scan_left_reference(xs, a, center, z):
+    """Outward scan left of ``center`` in doubling blocks: (lowest written index, writes)."""
+    c = xs[center]
+    i = center - 1
+    block = 512
+    writes = 0
+    while i >= 0:
+        lo = max(0, i - block + 1)
+        vals = power_abs(xs[lo : i + 1] - c, z)
+        from_right = (vals < a[lo : i + 1])[::-1]
+        if from_right.all():
+            a[lo : i + 1] = vals
+            writes += i + 1 - lo
+            i = lo - 1
+            block <<= 1
+        else:
+            run = int(np.argmin(from_right))
+            if run:
+                a[i - run + 1 : i + 1] = vals[vals.size - run :]
+                writes += run
+            i -= run
+            break
+    return i + 1, writes
+
+
+def scan_right_reference(xs, a, center, z):
+    """Mirror image of :func:`scan_left_reference`: (highest written index, writes)."""
+    n = xs.size
+    c = xs[center]
+    j = center + 1
+    block = 512
+    writes = 0
+    while j < n:
+        hi = min(n, j + block)
+        vals = power_abs(xs[j:hi] - c, z)
+        improve = vals < a[j:hi]
+        if improve.all():
+            a[j:hi] = vals
+            writes += hi - j
+            j = hi
+            block <<= 1
+        else:
+            run = int(np.argmin(improve))
+            if run:
+                a[j : j + run] = vals[:run]
+                writes += run
+            j += run
+            break
+    return j - 1, writes
+
+
+# runs that end just inside the window, at its edge, one past it, at the
+# fallback scan's first block boundary, and at the array's end
+_RUN_EDGES = [0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, _WINDOW + 511, _WINDOW + 512, _WINDOW + 513]
+
+
+@st.composite
+def scan_instances(draw):
+    n = draw(st.one_of(st.integers(1, 2 * _WINDOW), st.integers(2 * _WINDOW + 1, 2 * _WINDOW + 1400)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xs = np.sort(gen.integers(0, max(n // 16, 2), n).astype(np.float64))  # ties
+    else:
+        xs = np.sort(gen.standard_normal(n) * 10.0 ** draw(st.integers(-3, 2)))
+    # centers near the ends, including windows that stop one point short of either end
+    near_end = [0, _WINDOW, _WINDOW + 1, n - _WINDOW - 2, n - _WINDOW - 1, n - 1]
+    center = draw(st.one_of(st.sampled_from([min(max(c, 0), n - 1) for c in near_end]), st.integers(0, n - 1)))
+    z = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    runs = None
+    if draw(st.booleans()):
+        # masses from a few earlier centers, as the seeder holds them
+        prior = gen.integers(0, n, int(gen.integers(1, 6)))
+        a = np.min([power_abs(xs - xs[p], z) for p in prior], axis=0)
+    else:
+        # every point improvable except one stop per side
+        run_len = st.one_of(st.sampled_from(_RUN_EDGES + [n]), st.integers(0, n))
+        runs = draw(run_len), draw(run_len)
+        a = np.full(n, 1e300)
+        if center - runs[0] - 1 >= 0:
+            a[center - runs[0] - 1] = 0.0
+        if center + runs[1] + 1 < n:
+            a[center + runs[1] + 1] = 0.0
+    a[center] = 0.0
+    return xs, a, center, z, runs
+
+
+class TestWindowScan:
+    @settings(max_examples=400, deadline=None)
+    @given(scan_instances())
+    def test_matches_outward_scans(self, case):
+        xs, a, center, z, runs = case
+        expect = a.copy()
+        lo, w_left = scan_left_reference(xs, expect, center, z)
+        last, w_right = scan_right_reference(xs, expect, center, z)
+        got_lo, got_hi = _improve(xs, a, center, z)
+        assert (got_lo, got_hi) == (lo, last + 1)
+        assert got_hi - got_lo - 1 == w_left + w_right
+        assert a.tobytes() == expect.tobytes()
+        if runs is not None:
+            assert lo == max(center - runs[0], 0)
+            assert last == min(center + runs[1], xs.size - 1)
+
+
+class TestRandomStream:
+    """``seed_1d_fast`` draws its uniforms in one batch; the stream must not notice."""
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 999])
+    def test_batch_equals_scalar_draws(self, bitgen, m):
+        batched = np.random.Generator(bitgen(5))
+        scalar = np.random.Generator(bitgen(5))
+        batched.integers(17)  # the seeders draw the first center before the uniforms
+        scalar.integers(17)
+        assert batched.random(m).tolist() == [scalar.random() for _ in range(m)]
+        np.testing.assert_equal(batched.bit_generator.state, scalar.bit_generator.state)
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+    @pytest.mark.parametrize("values", [[3.0], [0.0, 1.0, 5.0], [-2.0, 0.0, 4.0, 9.0, 9.5]])
+    def test_exhausted_run_leaves_generator_as_naive_does(self, bitgen, values):
+        x = np.repeat(values, 30)
+        for seed in range(10):
+            fast_rng = np.random.Generator(bitgen(seed))
+            naive_rng = np.random.Generator(bitgen(seed))
+            res, _ = seed_1d_fast(x, k=len(values) + 4, rng=fast_rng)
+            naive = seed_1d_naive(x, k=len(values) + 4, rng=naive_rng)
+            assert res.exhausted and naive.exhausted
+            assert res.k_found == naive.k_found == len(values)
+            np.testing.assert_equal(fast_rng.bit_generator.state, naive_rng.bit_generator.state)
+            assert fast_rng.random() == naive_rng.random()
+
+
+class TestSeedingStats:
+    def test_comparisons_identity(self):
+        meta = np.random.default_rng(8)
+        for trial in range(60):
+            n = int(meta.integers(1, 2000))
+            x = meta.standard_normal(n)
+            if trial % 2:
+                x = np.round(x * 2)  # few distinct values: most runs exhaust
+            k = int(meta.integers(1, n + 1))
+            z = float(meta.choice([1.0, 1.5, 2.0, 3.0]))
+            res, stats = seed_1d_fast(x, k=k, z=z, rng=int(meta.integers(2**32)))
+            assert stats.comparisons == stats.total_updates + 2 * (res.k_found - 1)
+
+
+def test_power_abs_square_matches_abs_square_bitwise():
+    d = np.array(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1e-170, 1e200, -1e200, 3.5, -3.5, -1.0, 7e153]
+    )
+    with np.errstate(over="ignore", under="ignore"):
+        expect = np.abs(d) * np.abs(d)
+        got = power_abs(d, 2.0)
+    assert got.tobytes() == expect.tobytes()
