@@ -99,12 +99,12 @@ def _check_centers(centers) -> np.ndarray:
     return c
 
 
-def nearest_assignment(points, centers, chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center per point: returns (assignment, squared distances).
 
     The argmin is taken over ``||c'||^2 - 2 (x - o).c'`` with ``c' = c - o``
     for one origin ``o`` per call (the mean of the centers), so the result
-    does not depend on where the data sit or on ``chunk``. Dense blocks are
+    does not depend on where the data sit or on the block size. Dense blocks are
     shifted by ``o``; sparse rows are not (that would densify them), so
     their cross term is ``x.c' - o.c'``. The winner's squared distance is
     the one :func:`pointwise_assignment_costs` gives for that assignment.
@@ -115,9 +115,8 @@ def nearest_assignment(points, centers, chunk: int | None = None) -> tuple[np.nd
     n, k = data.n, c.shape[0]
     if c.shape[1] != data.d:
         raise ValueError("dimension mismatch between points and centers")
-    if chunk is None:
-        # a chunk x k distance block of ~1 MiB, which stays in L2 cache
-        chunk = max(256, min(_CHUNK, 131_072 // k))
+    # a chunk x k distance block of ~1 MiB, which stays in L2 cache
+    chunk = max(256, min(_CHUNK, 131_072 // k))
     origin = c.mean(axis=0)
     shifted = c - origin
     # scaling by -2 is exact, so folding it into the centers rounds nothing
@@ -218,8 +217,7 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     else:
         first = int(inverse_cdf(w, rng.random() * padded_pairwise_sum(w)))
 
-    take_row = (lambda i: np.asarray(mat[i].todense()).ravel()) if sparse else (lambda i: mat[i])
-    d2 = _sq_dists_to(mat, sparse, xn, take_row(first))
+    d2 = _sq_dists_to(mat, sparse, xn, data.rows(first))
     assignment = np.zeros(n, dtype=np.intp)
     chosen = [first]
 
@@ -231,21 +229,17 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
         if not total > 0.0:
             break
         idx = int(inverse_cdf(masses, rng.random() * total))
-        nd2 = _sq_dists_to(mat, sparse, xn, take_row(idx))
+        nd2 = _sq_dists_to(mat, sparse, xn, data.rows(idx))
         closer = nd2 < d2
         d2[closer] = nd2[closer]
         assignment[closer] = t
         chosen.append(idx)
 
-    if sparse:
-        centers = np.asarray(mat[chosen].todense())
-    else:
-        centers = mat[np.asarray(chosen)]
     terms = _power_from_sq(d2, z)
     if w is not None:
         terms = terms * w
     return ClusteringModel(
-        centers=np.array(centers, dtype=np.float64),
+        centers=data.rows(chosen),
         assignment=assignment,
         cost=float(terms.sum()),
         z=z,
@@ -291,11 +285,7 @@ def centers_of_mass(
             raise ValueError("every cluster is empty")
         _, d2 = nearest_assignment(data, centers[nonempty])
         far_order = np.argsort(d2)[::-1]
-        for slot, cluster in enumerate(relocated):
-            row = far_order[slot % far_order.size]
-            centers[cluster] = (
-                np.asarray(mat[row].todense()).ravel() if sparse else mat[row]
-            )
+        centers[relocated] = data.rows(far_order[np.arange(relocated.size) % far_order.size])
     return centers, relocated
 
 

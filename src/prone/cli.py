@@ -23,10 +23,11 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,29 +52,6 @@ from .pipeline import ProneConfig, prone
 
 SUITES = ("direct", "coreset", "boosted")
 BUILTIN_DATASETS = ("gaussian-small", "gaussian-large", "gaussian-adversarial")
-
-
-@dataclass
-class ExperimentRecord:
-    """One benchmark cell; serialized as a single JSON line."""
-
-    suite: str
-    algorithm: str
-    dataset: str
-    n: int
-    d: int
-    k: int
-    z: float
-    seed: int
-    rep: int
-    alpha: float | None = None
-    rel_size: float | None = None
-    cost_assignment: float | None = None
-    cost_nearest: float | None = None
-    wall_time_ms: dict | None = None
-    total_updates: int | None = None
-    k_found: int | None = None
-    exhausted: bool | None = None
 
 
 def _load_builtin(name: str) -> Dataset:
@@ -123,11 +101,11 @@ def _positive_int(text: str) -> int:
 class Run:
     """What one algorithm run reports, whichever algorithm it was.
 
-    ``timings`` holds seconds per stage. In the table's runs its ``"seed"``
-    entry is the whole call up to the centers, without any full-data
-    nearest-center pass; the coreset suite's runs time ``construct``,
-    ``train`` and ``total`` instead. ``cost_nearest`` is set only when the
-    run got it for free.
+    ``timings`` holds seconds per stage. Every run's ``"call"`` entry is the
+    whole algorithm call up to the centers, without any full-data
+    nearest-center pass; the other entries are the library's own stage
+    names, or ``construct`` and ``train`` in the coreset suite.
+    ``cost_nearest`` is set only when the run got it for free.
     """
 
     centers: np.ndarray
@@ -138,6 +116,7 @@ class Run:
     cost_assignment: float | None = None
     cost_nearest: float | None = None
     total_updates: int | None = None
+    # the seeding's own count: a boosted run's k_found is the coreset model's
     comparisons: int | None = None
 
 
@@ -153,7 +132,7 @@ def _prone_run(variant: str):
         res, seconds = _timed(prone, data, ProneConfig(k=k, z=z, variant=variant), rng=rng)
         return Run(
             res.model.centers, res.model.assignment, res.seeding.k_found, res.exhausted,
-            {**res.timings, "seed": seconds}, cost_assignment=res.model.cost,
+            {**res.timings, "call": seconds}, cost_assignment=res.model.cost,
             total_updates=res.seeding_stats.total_updates,
             comparisons=res.seeding_stats.comparisons,
         )
@@ -163,7 +142,7 @@ def _prone_run(variant: str):
 
 def _kmeanspp_run(data, k, z, rng, alpha=None) -> Run:
     model, seconds = _timed(kmeanspp_seed, data, k, z, rng)
-    return Run(model.centers, model.assignment, model.k, model.k < k, {"seed": seconds},
+    return Run(model.centers, model.assignment, model.k, model.k < k, {"call": seconds},
                cost_assignment=model.cost, cost_nearest=model.cost)
 
 
@@ -175,7 +154,7 @@ def _boosted_run(data, k, z, rng, alpha=None) -> Run:
     stats = boosted.prone_result.seeding_stats
     return Run(
         model.centers, model.assignment, model.k, model.k < k,
-        {**boosted.timings, "seed": seconds, "evaluate": evaluate_s},
+        {**boosted.timings, "call": seconds, "evaluate": evaluate_s},
         cost_assignment=model.cost, cost_nearest=model.cost,
         total_updates=stats.total_updates, comparisons=stats.comparisons,
     )
@@ -200,9 +179,10 @@ def _with_nearest(run: Run, data, z: float) -> Run:
     return run
 
 
-def _run_fields(run: Run) -> dict:
-    """The record fields every cluster and bench record takes from a run."""
+def _record(head: dict, run: Run) -> dict:
+    """One cluster or bench record: ``head``, then the fields taken from the run."""
     return {
+        **head,
         "cost_assignment": run.cost_assignment,
         "cost_nearest": run.cost_nearest,
         "k_found": run.k_found,
@@ -228,11 +208,11 @@ def cmd_cluster(args) -> int:
     write_dense_csv(Dataset(np.atleast_2d(run.centers)), centers_path)
     with open(labels_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(map(str, run.labels.tolist())) + "\n")
-    record = {
+    record = _record({
         "command": "cluster", "algorithm": args.algo, "input": args.input,
         "n": data.n, "d": data.d, "k": args.k, "z": args.z, "seed": args.seed,
-        "alpha": args.alpha, **_run_fields(run),
-    }
+        "alpha": args.alpha,
+    }, run)
     if args.stats:
         record["stats"] = {"total_updates": run.total_updates, "comparisons": run.comparisons}
     record["centers_file"] = centers_path
@@ -261,7 +241,7 @@ def _coreset_cell(data, k, z, rng, task):
     # paired baseline: plain seeding plus refinement on the full data
     model, seconds = _timed(_fit, data, k, z, rng())
     yield "kmeanspp", Run(model.centers, model.assignment, model.k, model.k < k,
-                          {"total": seconds}), {}
+                          {"call": seconds}), {}
     for construction in ("sensitivity", "prone", "lightweight"):
         for rel in task["rel_sizes"]:
             s = math.ceil(rel * data.n)
@@ -281,7 +261,7 @@ def _coreset_cell(data, k, z, rng, task):
             t1 = time.perf_counter()
             model = _fit(coreset.points, k, z, gen, coreset.weights)
             t2 = time.perf_counter()
-            timings = {"construct": t1 - t0, "train": t2 - t1, "total": t2 - t0}
+            timings = {"construct": t1 - t0, "train": t2 - t1, "call": t2 - t0}
             run = Run(model.centers, None, model.k, model.k < k, timings)
             yield construction, run, {"rel_size": rel}
 
@@ -298,37 +278,37 @@ def _boosted_cell(data, k, z, rng, task):
 _CELLS = {"direct": _direct_cell, "coreset": _coreset_cell, "boosted": _boosted_cell}
 
 
-def _run_cell(task: dict) -> list[ExperimentRecord]:
+def _run_cell(task: dict) -> list[dict]:
     """All records of one (k, rep) cell; every run starts from the cell's seed."""
     data = _load_dataset(task["dataset"])
     k, z, seed, rep = task["k"], task["z"], task["seed"], task["rep"]
     runs = _CELLS[task["suite"]](data, k, z, lambda: _cell_rng(seed, k, rep), task)
     return [
-        ExperimentRecord(
-            suite=task["suite"], algorithm=algo, dataset=task["dataset"], n=data.n, d=data.d,
-            k=k, z=z, seed=seed, rep=rep, **extra, **_run_fields(_with_nearest(run, data, z)),
-        )
+        _record({
+            "suite": task["suite"], "algorithm": algo, "dataset": task["dataset"],
+            "n": data.n, "d": data.d, "k": k, "z": z, "seed": seed, "rep": rep,
+            "alpha": None, "rel_size": None, **extra,
+        }, _with_nearest(run, data, z))
         for algo, run, extra in runs
     ]
 
 
-def _summarize(records: list[ExperimentRecord], path: str) -> None:
+def _summarize(records: list[dict], path: str) -> None:
     """Mean cost ratio and speedup per (algorithm, k, alpha/size) cell vs kmeanspp."""
-    baselines: dict[tuple, ExperimentRecord] = {}
+    baselines: dict[tuple, dict] = {}
     for rec in records:
-        if rec.algorithm == "kmeanspp":
-            baselines[(rec.dataset, rec.k, rec.rep)] = rec
+        if rec["algorithm"] == "kmeanspp":
+            baselines[rec["dataset"], rec["k"], rec["rep"]] = rec
     groups: dict[tuple, list[tuple[float, float]]] = {}
     for rec in records:
-        base = baselines.get((rec.dataset, rec.k, rec.rep))
-        if base is None or rec.algorithm == "kmeanspp":
+        base = baselines.get((rec["dataset"], rec["k"], rec["rep"]))
+        if base is None or rec["algorithm"] == "kmeanspp":
             continue
-        cost, base_cost = rec.cost_nearest, base.cost_nearest  # every bench run has one
-        rec_ms = rec.wall_time_ms.get("seed", rec.wall_time_ms.get("total"))
-        base_ms = base.wall_time_ms.get("seed", base.wall_time_ms.get("total"))
+        cost, base_cost = rec["cost_nearest"], base["cost_nearest"]  # every bench run has one
+        rec_ms, base_ms = rec["wall_time_ms"]["call"], base["wall_time_ms"]["call"]
         ratio = cost / base_cost if base_cost else float("nan")
         speedup = base_ms / rec_ms if rec_ms else float("nan")
-        key = (rec.suite, rec.algorithm, rec.dataset, rec.k, rec.alpha, rec.rel_size)
+        key = tuple(rec[f] for f in ("suite", "algorithm", "dataset", "k", "alpha", "rel_size"))
         groups.setdefault(key, []).append((ratio, speedup))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -355,9 +335,11 @@ def cmd_bench(args) -> int:
         for k in ks
         for rep in range(args.reps)
     ]
-    records: list[ExperimentRecord] = []
+    records: list[dict] = []
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # spawned, not forked: forking a process whose BLAS threads run can deadlock
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
             for cell in pool.map(_run_cell, tasks):
                 records.extend(cell)
     else:
@@ -365,12 +347,12 @@ def cmd_bench(args) -> int:
             records.extend(_run_cell(task))
     for rec in records:
         for field_name in ("cost_assignment", "cost_nearest"):
-            val = getattr(rec, field_name)
+            val = rec[field_name]
             if val is not None and not (math.isfinite(val) and val >= 0):
                 raise AssertionError(f"non-finite or negative {field_name} in {rec}")
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(asdict(rec)) + "\n")
+            fh.write(json.dumps(rec) + "\n")
     summary_path = f"{args.out}.summary.csv"
     _summarize(records, summary_path)
     print(json.dumps({"command": "bench", "suite": args.suite, "records": len(records),

@@ -145,12 +145,8 @@ def sample_coreset(points, dist: SensitivityDistribution, s: int, rng=None) -> W
     total = padded_pairwise_sum(p)
     idx = inverse_cdf(p, rng.random(s) * total)
     weights = total / (s * p[idx])
-    if data.is_sparse:
-        rows = np.asarray(data.points[idx].todense())
-    else:
-        rows = data.points[idx]
     return WeightedCoreset(
-        points=np.array(rows, dtype=np.float64),
+        points=data.rows(idx),
         weights=weights,
         source_indices=idx,
     )
@@ -188,7 +184,6 @@ def boosted_prone(
     z: float = 2.0,
     alpha: float = 0.1,
     rng=None,
-    variant: str = "standard",
 ) -> BoostedResult:
     """Projected seeding, sensitivity coreset, then weighted seeding on it.
 
@@ -205,7 +200,7 @@ def boosted_prone(
         )
     rng = as_generator(rng)
     t0 = time.perf_counter()
-    base = prone(data, ProneConfig(k=k, z=z, variant=variant), rng=rng)
+    base = prone(data, ProneConfig(k=k, z=z), rng=rng)
     t1 = time.perf_counter()
     dist = sensitivity_distribution(data, base.model)
     coreset = sample_coreset(data, dist, s, rng)

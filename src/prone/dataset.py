@@ -94,6 +94,14 @@ class Dataset:
             return int(self._mat.nnz)
         return self.n * self.d
 
+    def rows(self, idx) -> np.ndarray:
+        """Dense float64 copy of the rows at ``idx``; 1-D for a scalar index."""
+        if self.is_sparse:
+            out = self._mat[idx].toarray()
+            # one row of a CSR matrix is (1, d), of a CSR array (d,)
+            return out.ravel() if np.ndim(idx) == 0 else out
+        return np.take(self._mat, idx, axis=0)
+
     def to_dense(self) -> np.ndarray:
         if self.is_sparse:
             return np.asarray(self._mat.todense())
@@ -172,12 +180,10 @@ def load_dense_csv(path, has_header: bool = False) -> Dataset:
     return Dataset(mat)
 
 
-def write_dense_csv(data: Dataset, path, header: list[str] | None = None) -> None:
+def write_dense_csv(data: Dataset, path) -> None:
     """Write a dense CSV with full round-trip precision (repr of each double)."""
     mat = data.to_dense()
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         for row in mat:
             fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
 

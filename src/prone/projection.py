@@ -52,12 +52,9 @@ def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
     if variant == "covariance":
         n = data.n
         h = rng.standard_normal(n)
-        if data.is_sparse:
-            xth = np.asarray(data.points.T @ h).ravel()
-            mean = np.asarray(data.points.mean(axis=0)).ravel()
-        else:
-            xth = data.points.T @ h
-            mean = data.points.mean(axis=0)
+        xth = data.points.T @ h
+        # a CSR matrix's mean is a (1, d) np.matrix
+        mean = np.asarray(data.points.mean(axis=0)).ravel()
         return (xth - mean * h.sum()) / np.sqrt(n)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
@@ -85,6 +82,4 @@ def project(data, vec: ProjectionVector) -> np.ndarray:
     v = np.asarray(vec.direction, dtype=np.float64)
     if v.shape != (data.d,):
         raise ValueError(f"direction has shape {v.shape}, data dimension is {data.d}")
-    if data.is_sparse:
-        return np.asarray(data.points @ v).ravel()
-    return data.points @ v
+    return np.asarray(data.points @ v).ravel()

@@ -85,11 +85,10 @@ def per_cluster_assignment_costs(mat, centers, sigma, z):
     return d2 if z == 2 else np.sqrt(d2) if z == 1 else d2 ** (z / 2.0)
 
 
-def expanded_form_nearest_assignment(mat, centers, chunk=None):
+def expanded_form_nearest_assignment(mat, centers):
     """Reference: argmin of ||x||^2 - 2 x.c + ||c||^2 over chunks of up to 65 536 rows."""
     n, k = mat.shape[0], centers.shape[0]
-    if chunk is None:
-        chunk = max(256, min(65536, 16_777_216 // k))
+    chunk = max(256, min(65536, 16_777_216 // k))
     cn = np.einsum("ij,ij->i", centers, centers)
     assignment = np.empty(n, dtype=np.intp)
     d2 = np.empty(n, dtype=np.float64)
@@ -160,13 +159,12 @@ class TestBitIdenticalToReferences:
     # k = 512 puts the default block at 256 rows; n straddles its edges
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * 256 + 1])
     @pytest.mark.parametrize("k", [7, 512])
-    @pytest.mark.parametrize("chunk", [13, 256, None])
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_nearest_assignment(self, n, k, chunk, sparse):
+    def test_nearest_assignment(self, n, k, sparse):
         mat, _, _, rng = _lift_instance(n + 2, n, sparse)
         centers = rng.standard_normal((k, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
-        got = nearest_assignment(mat, centers, chunk=chunk)
-        want = expanded_form_nearest_assignment(mat, centers, chunk)
+        got = nearest_assignment(mat, centers)
+        want = expanded_form_nearest_assignment(mat, centers)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
@@ -274,17 +272,22 @@ class TestCosts:
         per = pointwise_assignment_costs(pts, centers, np.array([0, 1]), z=2)
         assert per.tolist() == [0.0, 4.0]
 
-    def test_chunked_assignment_matches_unchunked(self):
-        rng = np.random.default_rng(77)
-        pts = as_dataset(rng.standard_normal((101, 4)))
-        centers = rng.standard_normal((7, 4))
-        labels_a, d2_a = nearest_assignment(pts, centers, chunk=13)
-        labels_b, d2_b = nearest_assignment(pts, centers)
-        np.testing.assert_array_equal(labels_a, labels_b)
-        np.testing.assert_array_equal(d2_a, d2_b)
-
 
 class TestKmeansppSeed:
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_dense_and_csr_identical(self, z, weighted):
+        # half-zero integer coordinates in [-3, 3]: both distance forms are exact
+        rng = np.random.default_rng(21)
+        pts = rng.integers(-3, 4, size=(300, 6)).astype(np.float64)
+        pts[rng.random(pts.shape) < 0.5] = 0.0
+        w = rng.random(300) if weighted else None
+        dense = kmeanspp_seed(pts, 12, z, np.random.default_rng(5), weights=w)
+        csr = kmeanspp_seed(sp.csr_matrix(pts), 12, z, np.random.default_rng(5), weights=w)
+        np.testing.assert_array_equal(csr.centers, dense.centers)
+        np.testing.assert_array_equal(csr.assignment, dense.assignment)
+        assert csr.cost == dense.cost
+
     def test_k_equals_n_zero_cost(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((9, 3))

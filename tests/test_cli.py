@@ -1,6 +1,8 @@
 """CLI contract tests: subcommands, exit codes, file outputs, bench record counts."""
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +103,22 @@ class TestCluster:
                 assert code == 0
                 key_sets[algo] = set(json.loads(capsys.readouterr().out.strip()))
             assert len({frozenset(keys) for keys in key_sets.values()}) == 1, key_sets
+
+    def test_call_covers_the_library_stages(self, toy_csv, tmp_path, capsys):
+        # "call" is the whole algorithm call; the library's stage names keep
+        # their own meaning, so prone's "seed" is the 1-D seeding alone
+        stages = {"prone": ("project", "seed", "lift", "assign"),
+                  "boosted": ("prone", "coreset", "weighted_seed")}
+        for algo in ALGORITHMS:
+            code = run_cli(
+                "cluster", "--input", toy_csv, "--k", 3, "--algo", algo, "--alpha", 0.5,
+                "--seed", 2, "--output", tmp_path / algo,
+            )
+            assert code == 0
+            ms = json.loads(capsys.readouterr().out.strip())["wall_time_ms"]
+            assert ms["call"] > 0
+            assert ms["call"] >= sum(ms[s] for s in stages.get(algo.split("-")[0], ()))
+            assert ms["total"] >= ms["load"] + ms["call"]
 
     def test_reaches_the_names_tracers_wrap(self, toy_csv, tmp_path, capsys, monkeypatch):
         # a benchmark trace wraps these module globals after import; each must
@@ -210,6 +228,21 @@ class TestBench:
         # alpha=0.001 -> s=1 < k=4 excluded; alpha=0.5 kept, one per rep
         assert len(boosted) == 2
         assert all(r["alpha"] == 0.5 for r in boosted)
+
+    @pytest.mark.parametrize("suite", ["coreset", "boosted"])
+    def test_summary_speedups_finite_and_positive(self, suite, toy_csv, tmp_path, capsys):
+        out = tmp_path / f"{suite}.jsonl"
+        code = run_cli(
+            "bench", "--suite", suite, "--dataset", toy_csv, "--ks", 4, "--reps", 2,
+            "--seed", 0, "--sizes", "0.1,0.25", "--alphas", "0.5", "--out", out,
+        )
+        assert code == 0
+        with open(f"{out}.summary.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            speedup = float(row["mean_speedup_vs_kmeanspp"])
+            assert math.isfinite(speedup) and speedup > 0, row
 
     def test_records_reproducible(self, toy_csv, tmp_path, capsys):
         costs = []

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -223,6 +224,22 @@ class TestSampleCoreset:
             est.append(cost_with_nearest(cs.points, centers, z=2, weights=cs.weights))
         assert np.mean(est) == pytest.approx(full, rel=0.05)
 
+    def test_dense_and_csr_identical(self):
+        # half-zero integer coordinates in [-3, 3], and centers that are data
+        # points: dense and CSR costs are both exact, so every draw agrees
+        rng = np.random.default_rng(4)
+        pts = rng.integers(-3, 4, size=(200, 5)).astype(np.float64)
+        pts[rng.random(pts.shape) < 0.5] = 0.0
+        coresets = []
+        for points in (pts, sp.csr_matrix(pts)):
+            model = kmeanspp_seed(points, 6, 2, np.random.default_rng(1))
+            dist = sensitivity_distribution(points, model)
+            coresets.append(sample_coreset(points, dist, 50, rng=9))
+        dense, csr = coresets
+        np.testing.assert_array_equal(csr.points, dense.points)
+        np.testing.assert_array_equal(csr.weights, dense.weights)
+        np.testing.assert_array_equal(csr.source_indices, dense.source_indices)
+
     def test_rejects_bad_s(self):
         data, model = model_for([[0.0], [1.0]], [[0.0]])
         dist = sensitivity_distribution(data, model)
@@ -275,6 +292,16 @@ class TestBoosted:
         ev = res.evaluate(data)
         assert ev.assignment.shape == (400,)
         assert ev.cost == pytest.approx(cost_with_nearest(data, ev.centers, z=2), rel=1e-12)
+
+    def test_dense_and_csr_costs_agree(self):
+        data, _ = gen_gaussian_mixture(5, 60, 6, 20.0, rng=3)
+        pts = data.to_dense().copy()
+        pts[np.random.default_rng(0).random(pts.shape) < 0.3] = 0.0
+        dense = boosted_prone(pts, k=5, z=2, alpha=0.3, rng=7)
+        csr = boosted_prone(sp.csr_matrix(pts), k=5, z=2, alpha=0.3, rng=7)
+        for a, b in ((dense.prone_result.model, csr.prone_result.model),
+                     (dense.model, csr.model), (dense.evaluate(pts), csr.evaluate(pts))):
+            assert b.cost == pytest.approx(a.cost, rel=1e-9)
 
     def test_timings_present(self):
         data, _ = gen_gaussian_mixture(3, 60, 4, 50.0, rng=5)

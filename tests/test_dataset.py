@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from prone.dataset import (
     Dataset,
@@ -50,6 +51,27 @@ class TestDataset:
         pts[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             data.points[0, 0] = 9.0
+
+    def test_later_writes_reach_the_dataset_unchecked(self):
+        # the documented contract: finiteness is checked once, at wrapping
+        pts = np.arange(6.0).reshape(3, 2)
+        data = as_dataset(pts)
+        pts[1, 1] = np.nan
+        assert np.isnan(data.points[1, 1])
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix, sp.csr_array])
+    def test_rows_are_dense_copies(self, storage):
+        pts = np.array([[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
+        data = as_dataset(storage(pts))
+        row, block = data.rows(1), data.rows([2, 0, 2])
+        assert row.shape == (2,) and block.shape == (3, 2)
+        assert row.dtype == block.dtype == np.float64
+        np.testing.assert_array_equal(row, pts[1])
+        np.testing.assert_array_equal(block, pts[[2, 0, 2]])
+        row[:] = 9.0
+        block[:] = 9.0
+        # a literal, not pts: a dense Dataset shares pts' memory
+        np.testing.assert_array_equal(data.to_dense(), [[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
 
 
 class TestDenseCsv:

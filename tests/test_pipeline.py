@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from prone import seeding1d
 from prone.baseline import cost_with_nearest
@@ -22,6 +23,16 @@ class TestProne:
             res = prone(data, ProneConfig(k=2, seed=seed))
             assert res.model.cost == 0.0
             assert res.model.assignment[0] != res.model.assignment[1]
+
+    @pytest.mark.parametrize("variant", ["standard", "variance", "covariance"])
+    def test_dense_and_csr_costs_agree(self, variant):
+        data, _ = gen_gaussian_mixture(5, 60, 6, 20.0, rng=3)
+        pts = data.to_dense().copy()
+        pts[np.random.default_rng(0).random(pts.shape) < 0.3] = 0.0
+        cfg = ProneConfig(k=5, z=2, variant=variant, seed=11)
+        dense, csr = prone(pts, cfg), prone(sp.csr_matrix(pts), cfg)
+        np.testing.assert_array_equal(csr.model.assignment, dense.model.assignment)
+        assert csr.model.cost == pytest.approx(dense.model.cost, rel=1e-9)
 
     def test_deterministic_bit_for_bit(self):
         data, _ = gen_gaussian_mixture(5, 40, 6, 100.0, rng=3)

@@ -109,6 +109,15 @@ class TestSampleDirection:
         emp = draws.T @ draws / draws.shape[0]
         np.testing.assert_allclose(emp, target, atol=0.15 * np.abs(target).max())
 
+    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    def test_dense_and_csr_directions_agree(self, variant):
+        rng = np.random.default_rng(17)
+        pts = rng.standard_normal((300, 7)) * [1.0, 5.0, 0.1, 2.0, 1.0, 3.0, 1.0] + 2.0
+        pts[rng.random(pts.shape) < 0.5] = 0.0
+        dense = sample_direction(pts, variant, rng=3).direction
+        csr = sample_direction(sp.csr_matrix(pts), variant, rng=3).direction
+        np.testing.assert_allclose(csr, dense, rtol=1e-12, atol=0)
+
     def test_unknown_variant(self):
         data = as_dataset([[1.0]])
         with pytest.raises(ValueError):
