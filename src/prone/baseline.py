@@ -99,6 +99,12 @@ def _check_centers(centers) -> np.ndarray:
     return c
 
 
+def _assignment_block_rows(k: int) -> int:
+    """Rows per block of :func:`nearest_assignment` against ``k`` centers."""
+    # a rows x k distance block of ~1 MiB, which stays in L2 cache
+    return max(256, min(_CHUNK, 131_072 // k))
+
+
 def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center per point: returns (assignment, squared distances).
 
@@ -115,8 +121,7 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     n, k = data.n, c.shape[0]
     if c.shape[1] != data.d:
         raise ValueError("dimension mismatch between points and centers")
-    # a chunk x k distance block of ~1 MiB, which stays in L2 cache
-    chunk = max(256, min(_CHUNK, 131_072 // k))
+    chunk = _assignment_block_rows(k)
     origin = c.mean(axis=0)
     shifted = c - origin
     # scaling by -2 is exact, so folding it into the centers rounds nothing

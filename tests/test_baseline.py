@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prone import baseline
 from prone._util import padded_pairwise_sum
 from prone.baseline import (
     _COST_CHUNK,
@@ -85,10 +86,11 @@ def per_cluster_assignment_costs(mat, centers, sigma, z):
     return d2 if z == 2 else np.sqrt(d2) if z == 1 else d2 ** (z / 2.0)
 
 
-def expanded_form_nearest_assignment(mat, centers):
+def expanded_form_nearest_assignment(mat, centers, chunk=None):
     """Reference: argmin of ||x||^2 - 2 x.c + ||c||^2 over chunks of up to 65 536 rows."""
     n, k = mat.shape[0], centers.shape[0]
-    chunk = max(256, min(65536, 16_777_216 // k))
+    if chunk is None:
+        chunk = max(256, min(65536, 16_777_216 // k))
     cn = np.einsum("ij,ij->i", centers, centers)
     assignment = np.empty(n, dtype=np.intp)
     d2 = np.empty(n, dtype=np.float64)
@@ -159,12 +161,16 @@ class TestBitIdenticalToReferences:
     # k = 512 puts the default block at 256 rows; n straddles its edges
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * 256 + 1])
     @pytest.mark.parametrize("k", [7, 512])
+    @pytest.mark.parametrize("chunk", [13, 256, None])
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_nearest_assignment(self, n, k, sparse):
+    def test_nearest_assignment(self, n, k, chunk, sparse, monkeypatch):
+        # chunk None keeps the default block; otherwise both sides use chunk rows
+        if chunk is not None:
+            monkeypatch.setattr(baseline, "_assignment_block_rows", lambda k: chunk)
         mat, _, _, rng = _lift_instance(n + 2, n, sparse)
         centers = rng.standard_normal((k, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
         got = nearest_assignment(mat, centers)
-        want = expanded_form_nearest_assignment(mat, centers)
+        want = expanded_form_nearest_assignment(mat, centers, chunk)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
@@ -271,6 +277,16 @@ class TestCosts:
         centers = np.array([[0.0], [1.0]])
         per = pointwise_assignment_costs(pts, centers, np.array([0, 1]), z=2)
         assert per.tolist() == [0.0, 4.0]
+
+    def test_chunked_assignment_matches_unchunked(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        pts = as_dataset(rng.standard_normal((101, 4)))
+        centers = rng.standard_normal((7, 4))
+        labels_b, d2_b = nearest_assignment(pts, centers)
+        monkeypatch.setattr(baseline, "_assignment_block_rows", lambda k: 13)
+        labels_a, d2_a = nearest_assignment(pts, centers)
+        np.testing.assert_array_equal(labels_a, labels_b)
+        np.testing.assert_array_equal(d2_a, d2_b)
 
 
 class TestKmeansppSeed:
