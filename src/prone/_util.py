@@ -22,6 +22,7 @@ __all__ = [
     "check_z",
     "check_masses",
     "power_abs",
+    "mass_values",
     "padded_pairwise_sum",
     "inverse_cdf",
 ]
@@ -83,6 +84,27 @@ def power_abs(diff: np.ndarray, z: float) -> np.ndarray:
     nz = ad > 0
     out[nz] = np.exp(z * np.log(ad[nz]))
     return out
+
+
+# Values of magnitude below 2^e have powered distances below 2^(z (e + 1)).
+# While |z e| stays within this band, masses, their totals and the ratios
+# between them stay far from float64's overflow and subnormal ranges.
+_MASS_EXPONENT_BAND = 256
+
+
+def mass_values(xs: np.ndarray, z: float) -> np.ndarray:
+    """Sorted values ``xs`` to compute masses on: as given, or times 2^-e.
+
+    e is the exponent of the largest magnitude, read from the two ends in
+    O(1); only values whose |z e| leaves the band are scaled. Scaling by a
+    power of two is exact away from the subnormal range, so for z in {1, 2}
+    every mass, total and comparison scales exactly and every draw is the
+    one the unscaled values would make if no mass over- or underflowed.
+    """
+    e = math.frexp(max(abs(xs[0]), abs(xs[-1])))[1]
+    if abs(z * e) <= _MASS_EXPONENT_BAND:
+        return xs
+    return np.ldexp(xs, -e)
 
 
 def padded_pairwise_sum(a: np.ndarray) -> float:

@@ -49,8 +49,8 @@ __all__ = [
 
 # most rows per nearest_assignment block
 _CHUNK = 65536
-# rows per block of pointwise_assignment_costs; small, because each block
-# allocates a few (rows, d) temporaries on top of the caller's data
+# rows per block of pointwise_assignment_costs; small, so the (rows, d)
+# block buffer adds little to the caller's data
 _COST_CHUNK = 4096
 
 
@@ -167,6 +167,9 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
     d2 = np.empty(n, dtype=np.float64)
     if sparse:
         cn = np.einsum("ij,ij->i", c, c)
+    else:
+        # one block buffer per call: each block's centers, then its differences
+        buf = np.empty((min(n, _COST_CHUNK), c.shape[1]), dtype=np.float64)
     for lo in range(0, n, _COST_CHUNK):
         hi = min(n, lo + _COST_CHUNK)
         block, s = mat[lo:hi], sigma[lo:hi]
@@ -178,8 +181,10 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
             xn = _row_sq_norms(block, sparse)
             d2[lo:hi] = np.maximum(xn - 2.0 * cross + cn[s], 0.0)
         else:
-            diff = block - c[s]
-            d2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+            diff = buf[: hi - lo]
+            np.take(c, s, axis=0, out=diff)
+            np.subtract(block, diff, out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=d2[lo:hi])
     return _power_from_sq(d2, z)
 
 

@@ -18,8 +18,14 @@ binary search per draw, O(n + s log n) for s draws.
 ``boosted_prone`` chains the projected pipeline into a sensitivity
 distribution, samples a coreset of ceil(alpha * n) points, and runs
 weighted powered-distance seeding on it, giving k-means++-quality centers
-in roughly projected-seeding time. The full-data assignment is left to
-the caller (it is the expensive O(ndk) part and often unneeded).
+in roughly projected-seeding time. It reads the full data three times,
+all inside prone: the projection, the lift (centers of mass) and the
+per-point assignment costs. The sensitivity step reuses that cost vector
+rather than recomputing it, and everything after it touches only the
+sampled rows. The full-data assignment is left to the caller
+(:meth:`BoostedResult.evaluate`, one O(ndk) nearest-center pass plus one
+O(nd) pass for the winners' distances), since it is the expensive part
+and often unneeded.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .baseline import (
     pointwise_assignment_costs,
 )
 from .dataset import as_dataset
-from .pipeline import ProneConfig, ProneResult, prone
+from .pipeline import ProneConfig, ProneResult, _prone
 
 __all__ = [
     "SensitivityDistribution",
@@ -87,8 +93,13 @@ def sensitivity_distribution(points, model: ClusteringModel) -> SensitivityDistr
         raise ValueError("model must carry an assignment")
     sigma = np.asarray(model.assignment)
     costs = pointwise_assignment_costs(mat, model.centers, sigma, model.z)
+    return _sensitivity_from_costs(costs, sigma, model.k)
+
+
+def _sensitivity_from_costs(costs: np.ndarray, sigma: np.ndarray, k: int) -> SensitivityDistribution:
+    """:func:`sensitivity_distribution` from each point's cost under ``sigma``."""
     total = float(costs.sum())
-    sizes = np.bincount(sigma, minlength=model.k)
+    sizes = np.bincount(sigma, minlength=k)
     k_nonempty = int((sizes > 0).sum())
     cost_share = costs / total if total > 0 else np.zeros_like(costs)
     size_share = 1.0 / sizes[sigma]
@@ -189,6 +200,14 @@ def boosted_prone(
 
     The coreset has s = ceil(alpha * n) points; alpha must satisfy
     ceil(alpha * n) >= k or there are not enough points to seed k centers.
+
+    Full-data passes, all inside prone: the projection ``X @ v``, the lift
+    (centers of mass) and the per-point assignment costs. The sensitivity
+    step reuses prone's cost vector instead of computing it again, then
+    drops it; the coreset draw copies only the s sampled rows. The result
+    is bit-identical to ``prone``, ``sensitivity_distribution``,
+    ``sample_coreset`` and weighted ``kmeanspp_seed`` called in turn on one
+    generator.
     """
     check_z(z)
     data = as_dataset(data)
@@ -200,9 +219,10 @@ def boosted_prone(
         )
     rng = as_generator(rng)
     t0 = time.perf_counter()
-    base = prone(data, ProneConfig(k=k, z=z), rng=rng)
+    base, point_costs = _prone(data, ProneConfig(k=k, z=z), rng=rng)
     t1 = time.perf_counter()
-    dist = sensitivity_distribution(data, base.model)
+    dist = _sensitivity_from_costs(point_costs, base.model.assignment, base.model.k)
+    del point_costs
     coreset = sample_coreset(data, dist, s, rng)
     t2 = time.perf_counter()
     seeded = kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import as_generator, check_z
-from .baseline import ClusteringModel, centers_of_mass, cost_with_assignment, cost_with_nearest
+from .baseline import ClusteringModel, centers_of_mass, cost_with_nearest, pointwise_assignment_costs
 from .dataset import as_dataset
 from .projection import ProjectionVector, sample_direction, project
 from .seeding1d import Seeding1DResult, SeedingStats, seed_1d_fast
@@ -65,6 +65,16 @@ def prone(data, cfg: ProneConfig, rng=None) -> ProneResult:
     ``rng`` overrides the config seed when a caller wants to embed the run
     in a larger stream (the boosted pipeline does this).
     """
+    return _prone(data, cfg, rng)[0]
+
+
+def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
+    """:func:`prone`, plus each point's powered distance to its center.
+
+    The model's cost is the sum of that vector, as
+    :func:`~prone.baseline.cost_with_assignment` would compute it; the
+    boosted pipeline reuses the vector instead of computing it again.
+    """
     data = as_dataset(data)
     if not 1 <= cfg.k <= data.n:
         raise ValueError(f"k={cfg.k} must satisfy 1 <= k <= n={data.n}")
@@ -78,7 +88,8 @@ def prone(data, cfg: ProneConfig, rng=None) -> ProneResult:
     t2 = time.perf_counter()
     centers, _ = centers_of_mass(data, seeding.assignment, seeding.k_found)
     t3 = time.perf_counter()
-    cost = cost_with_assignment(data, centers, seeding.assignment, cfg.z)
+    point_costs = pointwise_assignment_costs(data, centers, seeding.assignment, cfg.z)
+    cost = float(np.sum(point_costs))
     t4 = time.perf_counter()
 
     model = ClusteringModel(
@@ -90,13 +101,10 @@ def prone(data, cfg: ProneConfig, rng=None) -> ProneResult:
         "lift": t3 - t2,
         "assign": t4 - t3,
     }
-    return ProneResult(
-        model=model,
-        projection=vec,
-        seeding=seeding,
-        seeding_stats=stats,
-        timings=timings,
+    result = ProneResult(
+        model=model, projection=vec, seeding=seeding, seeding_stats=stats, timings=timings
     )
+    return result, point_costs
 
 
 def prone_center_cost(data, result: ProneResult) -> float:

@@ -37,6 +37,12 @@ identical centers and assignments, which the tests assert index for index.
 If the remaining total mass hits zero before k draws (fewer than k
 distinct values), both return k' < k centers and set ``exhausted``.
 
+Both compute masses on :func:`~prone._util.mass_values` of the sorted
+points, which rescales values of extreme magnitude by a power of two, so
+the input's scale alone neither underflows the masses (an early
+``exhausted``) nor overflows them; the reported center values and the
+assignment use the points as given.
+
 Both seeders sort with the same permutation: the default (unstable, SIMD)
 argsort, redone with a stable sort only when two values are equal. Without
 ties every correct sort returns the stable permutation, so the order never
@@ -52,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator, check_z, inverse_cdf, padded_pairwise_sum, power_abs
+from ._util import as_generator, check_z, inverse_cdf, mass_values, padded_pairwise_sum, power_abs
 from .sampling_tree import SamplingTree
 
 __all__ = [
@@ -200,9 +206,10 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     n = xs_in.size
 
     order, xs = _sort(xs_in)
+    xm = mass_values(xs, z)
 
     first = int(rng.integers(n))
-    a = power_abs(xs - xs[first], z)
+    a = power_abs(xm - xm[first], z)
     a[first] = 0.0
     tree = SamplingTree(a)
     chosen = [first]
@@ -224,7 +231,7 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
             r = np.nextafter(total, 0.0)
         lt = tree.find(r)
         a[lt] = 0.0
-        lo, hi = _improve(xs, a, lt, z)
+        lo, hi = _improve(xm, a, lt, z)
         tree.update(a, lo, hi)
         chosen.append(lt)
         writes += hi - lo - 1
@@ -259,9 +266,10 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
     n = xs_in.size
 
     order, xs = _sort(xs_in)
+    xm = mass_values(xs, z)
 
     first = int(rng.integers(n))
-    a = power_abs(xs - xs[first], z)
+    a = power_abs(xm - xm[first], z)
     a[first] = 0.0
     chosen = [first]
     exhausted = False
@@ -272,7 +280,7 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
             exhausted = True
             break
         lt = int(inverse_cdf(a, rng.random() * total))
-        a = np.minimum(a, power_abs(xs - xs[lt], z))
+        a = np.minimum(a, power_abs(xm - xm[lt], z))
         chosen.append(lt)
 
     chosen_arr = np.array(chosen, dtype=np.intp)

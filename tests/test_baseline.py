@@ -148,7 +148,9 @@ class TestBitIdenticalToReferences:
         np.testing.assert_array_equal(got, want)
         assert 3 in relocated.tolist()
 
-    @pytest.mark.parametrize("n", [1, 37, 2 * _COST_CHUNK + 37])
+    @pytest.mark.parametrize(
+        "n", [1, 37, 2 * _COST_CHUNK + 37, _COST_CHUNK - 1, _COST_CHUNK, _COST_CHUNK + 1]
+    )
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
     def test_pointwise_assignment_costs(self, n, sparse, z):

@@ -1,5 +1,7 @@
 """Tests for sensitivity/lightweight sampling distributions, coresets, and the boosted pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +17,7 @@ from prone.baseline import (
     nearest_assignment,
 )
 from prone.coreset import (
+    BoostedResult,
     SensitivityDistribution,
     boosted_prone,
     lightweight_distribution,
@@ -22,6 +25,7 @@ from prone.coreset import (
     sensitivity_distribution,
 )
 from prone.dataset import as_dataset, gen_gaussian_mixture
+from prone.pipeline import ProneConfig, prone
 
 
 def model_for(points, centers, z=2.0):
@@ -302,6 +306,33 @@ class TestBoosted:
         for a, b in ((dense.prone_result.model, csr.prone_result.model),
                      (dense.model, csr.model), (dense.evaluate(pts), csr.evaluate(pts))):
             assert b.cost == pytest.approx(a.cost, rel=1e-9)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+    def test_equals_the_steps_run_in_turn(self, sparse, z):
+        # boosted_prone hands prone's per-point costs to the sensitivity
+        # step; recomputing them from the model must change nothing
+        data, _ = gen_gaussian_mixture(5, 80, 6, 20.0, rng=3)
+        pts = data.to_dense().copy()
+        pts[np.random.default_rng(0).random(pts.shape) < 0.3] = 0.0
+        points = sp.csr_matrix(pts) if sparse else pts
+        k, alpha = 5, 0.25
+        rng = np.random.default_rng(7)
+        base = prone(points, ProneConfig(k=k, z=z), rng=rng)
+        dist = sensitivity_distribution(points, base.model)
+        coreset = sample_coreset(points, dist, math.ceil(alpha * len(pts)), rng)
+        seeded = kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)
+        want = BoostedResult(model=seeded, prone_result=base, coreset=coreset, timings={})
+
+        got = boosted_prone(points, k, z, alpha, rng=np.random.default_rng(7))
+        assert got.prone_result.model.cost == base.model.cost
+        np.testing.assert_array_equal(got.coreset.source_indices, coreset.source_indices)
+        np.testing.assert_array_equal(got.coreset.weights, coreset.weights)
+        np.testing.assert_array_equal(got.model.centers, seeded.centers)
+        assert got.model.cost == seeded.cost
+        got_ev, want_ev = got.evaluate(points), want.evaluate(points)
+        np.testing.assert_array_equal(got_ev.assignment, want_ev.assignment)
+        assert got_ev.cost == want_ev.cost
 
     def test_timings_present(self):
         data, _ = gen_gaussian_mixture(3, 60, 4, 50.0, rng=5)

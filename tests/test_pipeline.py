@@ -1,5 +1,7 @@
 """End-to-end tests for the project -> 1-D seed -> lift pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -90,6 +92,33 @@ class TestProne:
             b = prone(as_dataset(lam * pts), ProneConfig(k=6, z=z, seed=77))
             np.testing.assert_array_equal(a.model.assignment, b.model.assignment)
             assert b.model.cost == pytest.approx(lam**z * a.model.cost, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_extreme_scales_seed_every_center(self, scale):
+        # the projected masses would underflow to 0 (one center, exhausted)
+        # or overflow (masses not finite) without the seeders' rescaling
+        data, _ = gen_gaussian_mixture(5, 200, 3, 100.0, rng=1)
+        pts = data.to_dense()
+        want = prone(pts, ProneConfig(k=5, seed=0))
+        got = prone(pts * scale, ProneConfig(k=5, seed=0))
+        assert got.seeding.k_found == 5 and not got.exhausted
+        np.testing.assert_array_equal(got.seeding.center_indices, want.seeding.center_indices)
+        np.testing.assert_array_equal(got.model.assignment, want.model.assignment)
+
+    def test_result_holds_no_per_point_costs(self):
+        # the result keeps the assignment (8n bytes) and O(kd); a per-point
+        # cost vector kept alongside would add another 8n, which a slack
+        # of 1 MB would hide at this n
+        n = 200_000
+        pts = np.random.default_rng(5).standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            res = prone(pts, ProneConfig(k=50, seed=3))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.model.assignment.nbytes == 8 * n
+        assert held < 1.5 * 8 * n + 2**18
 
 
 class TestNonFiniteZ:

@@ -407,6 +407,40 @@ class TestSeedingStats:
             assert stats.comparisons == stats.total_updates + 2 * (res.k_found - 1)
 
 
+@st.composite
+def power_of_two_rescalings(draw):
+    """(xs, j, z): integer-grid or Gaussian values times 2^m, |m| <= 20, so xs * 2^j stays normal."""
+    n = draw(st.integers(1, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xs = gen.integers(-(2**20), 2**20, n).astype(np.float64)
+        if draw(st.booleans()):
+            xs = np.round(xs / 2**17)  # few distinct values: runs exhaust
+    else:
+        xs = gen.standard_normal(n)
+    xs = np.ldexp(xs, draw(st.integers(-20, 20)))
+    j = draw(st.one_of(st.sampled_from([-900, -600, 600, 900]), st.integers(-900, 900)))
+    return xs, j, draw(st.sampled_from([1.0, 2.0]))
+
+
+class TestScaleInvariance:
+    """Masses are computed on values rescaled by a power of two, so seeding ignores the units."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_of_two_rescalings(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_power_of_two_rescaling_changes_nothing(self, case, k, seed):
+        xs, j, z = case
+        k = min(k, xs.size)
+        want, _ = seed_1d_fast(xs, k, z, rng=seed)
+        got, _ = seed_1d_fast(np.ldexp(xs, j), k, z, rng=seed)
+        naive = seed_1d_naive(np.ldexp(xs, j), k, z, rng=seed)
+        for res in (got, naive):
+            np.testing.assert_array_equal(res.center_indices, want.center_indices)
+            np.testing.assert_array_equal(res.assignment, want.assignment)
+            assert res.exhausted == want.exhausted
+        np.testing.assert_array_equal(got.center_values, np.ldexp(want.center_values, j))
+
+
 def test_power_abs_square_matches_abs_square_bitwise():
     d = np.array(
         [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1e-170, 1e200, -1e200, 3.5, -3.5, -1.0, 7e153]
