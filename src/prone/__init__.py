@@ -41,7 +41,6 @@ from .sampling_tree import SamplingTree
 from .seeding1d import (
     Seeding1DResult,
     SeedingStats,
-    assign_to_sorted_centers,
     seed_1d_fast,
     seed_1d_naive,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "VARIANTS",
     "WeightedCoreset",
     "as_dataset",
-    "assign_to_sorted_centers",
     "boosted_prone",
     "centers_of_mass",
     "cost_with_assignment",

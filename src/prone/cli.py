@@ -13,8 +13,10 @@ Every algorithm is one entry of ``ALGORITHMS``, which ``cluster`` and all
 three bench suites run through. Benchmark runs with the same (k, rep)
 start from the same derived seed so that cost ratios and speedups are
 paired, and ``cluster --seed S --k K`` starts from bench's (K, rep 0) seed,
-so it reproduces that cell. --jobs N runs cells in parallel processes;
-each cell itself stays single-threaded so wall-clock comparisons are fair.
+so it reproduces that cell. --jobs N runs cells in parallel processes.
+Nothing pins the BLAS thread count, so each cell's matrix products may use
+several threads, and parallel cells compete for the same cores; compare
+wall-clock times only between runs with the same --jobs on the same host.
 """
 
 from __future__ import annotations

@@ -62,18 +62,17 @@ def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
 def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVector:
     """Draw a projection direction for ``data`` using the given variant.
 
-    An exactly-zero draw is redrawn; if the data admit no nonzero direction
-    for the chosen variant (e.g. variance weighting on constant features),
-    the draw falls back to a standard Gaussian so downstream code still
-    receives a usable vector.
+    A data-dependent direction is exactly zero only for deterministic
+    reasons (constant features, identical points), so a redraw would be zero
+    again; such a draw falls back to one standard Gaussian draw instead, so
+    downstream code still receives a usable vector.
     """
     data = as_dataset(data)
     rng = as_generator(rng)
-    for _ in range(16):
-        direction = _draw(data, variant, rng)
-        if np.any(direction != 0.0):
-            return ProjectionVector(direction=direction, variant=variant)
-    return ProjectionVector(direction=rng.standard_normal(data.d), variant=variant)
+    direction = _draw(data, variant, rng)
+    if not np.any(direction != 0.0):
+        direction = rng.standard_normal(data.d)
+    return ProjectionVector(direction=direction, variant=variant)
 
 
 def project(data, vec: ProjectionVector) -> np.ndarray:

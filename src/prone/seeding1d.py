@@ -11,7 +11,10 @@ distance array by scanning outward from the new center only while the new
 center improves a point. On sorted points the improved region is one
 contiguous interval, so a draw costs O(log n) for the tree lookup plus the
 length of the interval, and the intervals sum to O(n log n) in expectation
-over a whole run.
+over a whole run. The repaired range is the new center plus the run of
+points it strictly improves, so writing the center's rank over that range
+keeps every point's label in step with its mass; no assignment pass
+follows.
 
 One draw makes a fixed, small number of numpy calls. The repair computes
 the powered distances on a window of ``_WINDOW`` points each side of the
@@ -40,16 +43,18 @@ distinct values), both return k' < k centers and set ``exhausted``.
 Both compute masses on :func:`~prone._util.mass_values` of the sorted
 points, which rescales values of extreme magnitude by a power of two, so
 the input's scale alone neither underflows the masses (an early
-``exhausted``) nor overflows them; the reported center values and the
-assignment use the points as given.
+``exhausted``) nor overflows them; the reported center values are the
+points as given.
 
 Both seeders sort with the same permutation: the default (unstable, SIMD)
 argsort, redone with a stable sort only when two values are equal. Without
 ties every correct sort returns the stable permutation, so the order never
 depends on which sort ran.
 
-Centers are reported in selection order; assignments use ranks into that
-list; exact midpoint ties go to the center on the right.
+Centers are reported in selection order, and assignments use ranks into
+that list. A point goes to the nearest center, measured by the same powered
+distances the draws use, and among equally near centers to the one chosen
+first, the rule :func:`~prone.baseline.kmeanspp_seed` follows.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ __all__ = [
     "SeedingStats",
     "seed_1d_fast",
     "seed_1d_naive",
-    "assign_to_sorted_centers",
 ]
 
 # Points scanned on each side of a new center in one pass. Most improved
@@ -85,7 +89,8 @@ class Seeding1DResult:
 
     ``center_indices[j]`` is the position in the *original* input of the
     j-th center in selection order (the first entry is the uniform draw);
-    ``assignment[i]`` is the rank j of the center point i belongs to.
+    ``assignment[i]`` is the rank j of the center nearest to point i, the
+    earliest-chosen one among equally near centers.
     ``exhausted`` is True when fewer than the requested k distinct centers
     existed.
     """
@@ -212,6 +217,7 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     a = power_abs(xm - xm[first], z)
     a[first] = 0.0
     tree = SamplingTree(a)
+    label = np.zeros(n, dtype=np.intp)
     chosen = [first]
     writes = 0
     exhausted = False
@@ -233,16 +239,15 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
         a[lt] = 0.0
         lo, hi = _improve(xm, a, lt, z)
         tree.update(a, lo, hi)
+        label[lo:hi] = len(chosen)
         chosen.append(lt)
         writes += hi - lo - 1
     draws = len(chosen) - 1
     stats = SeedingStats(total_updates=writes, comparisons=writes + 2 * draws)
 
     chosen_arr = np.array(chosen, dtype=np.intp)
-    sort_perm = np.argsort(chosen_arr)
-    sigma_sorted = assign_to_sorted_centers(xs, xs[chosen_arr[sort_perm]])
     assignment = np.empty(n, dtype=np.intp)
-    assignment[order] = sort_perm[sigma_sorted]  # sorted rank -> selection rank
+    assignment[order] = label
     result = Seeding1DResult(
         center_indices=order[chosen_arr],
         center_values=xs[chosen_arr],
@@ -257,8 +262,8 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
 
     Same sampling semantics and randomness consumption as
     :func:`seed_1d_fast`; selection is a linear prefix-sum scan and the
-    assignment is a brute-force nearest-center search with midpoint ties
-    going right.
+    assignment is the first minimum of the (n, k') table of powered
+    distances, with centers in selection order.
     """
     xs_in = np.asarray(points, dtype=np.float64)
     _validate(xs_in, k, z)
@@ -284,80 +289,12 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
         chosen.append(lt)
 
     chosen_arr = np.array(chosen, dtype=np.intp)
-    sort_perm = np.argsort(chosen_arr)
-    cvals_sorted = xs[chosen_arr[sort_perm]]
-    # nearest center per point, ties resolved toward the later center
-    dists = np.abs(xs[:, None] - cvals_sorted[None, :])
-    sigma_sorted = (cvals_sorted.size - 1) - np.argmin(dists[:, ::-1], axis=1)
+    # argmin takes the first minimum, so ties go to the earliest-chosen center
     assignment = np.empty(n, dtype=np.intp)
-    assignment[order] = sort_perm[sigma_sorted]
+    assignment[order] = np.argmin(power_abs(xm[:, None] - xm[chosen_arr], z), axis=1)
     return Seeding1DResult(
         center_indices=order[chosen_arr],
         center_values=xs[chosen_arr],
         assignment=assignment,
         exhausted=exhausted,
     )
-
-
-def assign_to_sorted_centers(points_sorted, centers_sorted) -> np.ndarray:
-    """Assign ascending points to ascending centers; return ranks into them.
-
-    Defined by a sweep over the points that advances the center rank j while
-    |x - c_j| >= |x - c_{j+1}|: a point exactly halfway between two centers
-    goes to the right one, and repeated centers pass their points on to the
-    last copy. Instead of sweeping, this finds where each advance happens.
-    For points above c_j the test is monotone (both rounded distances are
-    monotone in x), so one vectorized binary search over the points in
-    (c_j, c_{j+1}) finds every boundary, and a running maximum turns the
-    boundaries into the sweep's advance positions. Below c_j the test holds
-    only where the two distances round to the same float, which needs the
-    gap c_{j+1} - c_j to be within two ulps of the distance to the leftmost
-    point; such pairs are checked point by point. O(k log n) for the search
-    plus O(n) for the validation and the output.
-    """
-    pts = np.asarray(points_sorted, dtype=np.float64)
-    cts = np.asarray(centers_sorted, dtype=np.float64)
-    if pts.ndim != 1 or cts.ndim != 1:
-        raise ValueError("expected 1-D arrays")
-    if cts.size == 0:
-        raise ValueError("at least one center required")
-    if (pts[1:] < pts[:-1]).any():
-        raise ValueError("points must be in ascending order")
-    if (cts[1:] < cts[:-1]).any():
-        raise ValueError("centers must be in ascending order")
-    n, k = pts.size, cts.size
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
-    # distances past the float range round to inf, as the scalar sweep's do
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right = cts[:-1], cts[1:]
-        # first point in (c_j, c_{j+1}) that passes the test, else the first >= c_{j+1}
-        lo = np.searchsorted(pts, left, "right")
-        hi = np.searchsorted(pts, right, "left")
-        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-            mid = (lo + hi) >> 1  # == hi == lo on finished pairs, which stay put
-            x = pts.take(mid, mode="clip")
-            advance = np.abs(x - left) >= np.abs(x - right)
-            lo = np.where(advance, lo, np.minimum(mid + 1, hi))
-            hi = np.where(advance, mid, hi)
-        gap = right - left
-        # pairs whose two distances can round to the same value left of c_j,
-        # and repeated centers (gap 0): both are swept one pair at a time
-        rounds_equal = ~(gap > 2.0 * np.spacing(right - pts[0]))
-        if rounds_equal.any():
-            lo[gap == 0] = 0  # a repeated center is passed as soon as it is reached
-            first_at = np.searchsorted(pts, left, "left")
-            advance_at = np.empty(k - 1, dtype=np.intp)
-            prev = 0
-            for j in range(k - 1):
-                at = max(prev, int(lo[j]))
-                if rounds_equal[j] and prev < first_at[j]:
-                    seg = pts[prev : first_at[j]]
-                    hit = np.abs(seg - left[j]) >= np.abs(seg - right[j])
-                    if hit.any():
-                        at = prev + int(np.argmax(hit))
-                advance_at[j] = prev = at
-        else:
-            advance_at = np.maximum.accumulate(lo)
-    bounds = np.concatenate(([0], advance_at, [n]))
-    return np.repeat(np.arange(k, dtype=np.intp), bounds[1:] - bounds[:-1])

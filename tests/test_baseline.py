@@ -346,6 +346,19 @@ class TestKmeansppSeed:
                 model.centers[:, 0], ref.center_values, err_msg=f"trial {trial}"
             )
             np.testing.assert_array_equal(model.assignment, ref.assignment)
+        # integer grids: exact ties, which both give to the earliest-chosen center
+        grid = np.random.default_rng(304)
+        for trial in range(50):
+            n = int(grid.integers(2, 200))
+            k = int(grid.integers(1, min(n, 16) + 1))
+            xs = np.sort(grid.integers(-10, 11, n).astype(np.float64))
+            seed = int(grid.integers(2**32))
+            model = kmeanspp_seed(as_dataset(xs[:, None]), k, z=2, rng=np.random.default_rng(seed))
+            ref = seed_1d_naive(xs, k, z=2, rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                model.centers[:, 0], ref.center_values, err_msg=f"grid trial {trial}"
+            )
+            np.testing.assert_array_equal(model.assignment, ref.assignment)
 
     def test_weighted_first_center_law(self):
         pts = as_dataset([[0.0], [1.0]])

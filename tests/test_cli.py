@@ -12,6 +12,10 @@ from prone.cli import ALGORITHMS, main
 from prone.dataset import gen_gaussian_mixture, write_dense_csv
 
 
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 @pytest.fixture()
 def toy_csv(tmp_path):
     data, _ = gen_gaussian_mixture(4, 50, 3, 100.0, rng=5)
@@ -150,7 +154,7 @@ class TestGen:
         out = tmp_path / "g.csv"
         code = run_cli("gen", "gaussian-adversarial", "--m", 3000, "--seed", 1, "--out", out)
         assert code == 0
-        assert sum(1 for _ in open(out)) == 24005
+        assert len(out.read_text().splitlines()) == 24005
         record = json.loads(capsys.readouterr().out.strip())
         assert record["n"] == 24005 and record["d"] == 4
 
@@ -161,7 +165,7 @@ class TestGen:
             "--separation", 10, "--seed", 0, "--out", out,
         )
         assert code == 0
-        assert sum(1 for _ in open(out)) == 2
+        assert len(out.read_text().splitlines()) == 2
 
     def test_missing_out_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -182,7 +186,7 @@ class TestBench:
             "--ks", "2,4", "--reps", 3, "--seed", 0, "--out", out,
         )
         assert code == 0
-        records = [json.loads(line) for line in open(out)]
+        records = read_jsonl(out)
         assert len(records) == 2 * 3 * 4  # ks x reps x algorithms
         assert (tmp_path / "direct.jsonl.summary.csv").exists()
 
@@ -208,7 +212,7 @@ class TestBench:
             "--sizes", "0.01,0.25", "--out", out,
         )
         assert code == 0
-        records = [json.loads(line) for line in open(out)]
+        records = read_jsonl(out)
         # n=200: size 0.01 -> s=2 < k=10 skipped; 0.25 -> s=50 kept
         sizes_seen = {r["rel_size"] for r in records if r["rel_size"] is not None}
         assert sizes_seen == {0.25}
@@ -223,7 +227,7 @@ class TestBench:
             "--alphas", "0.001,0.5", "--out", out,
         )
         assert code == 0
-        records = [json.loads(line) for line in open(out)]
+        records = read_jsonl(out)
         boosted = [r for r in records if r["algorithm"] == "boosted"]
         # alpha=0.001 -> s=1 < k=4 excluded; alpha=0.5 kept, one per rep
         assert len(boosted) == 2
@@ -252,7 +256,7 @@ class TestBench:
                 "bench", "--suite", "direct", "--dataset", toy_csv,
                 "--ks", "3", "--reps", 2, "--seed", 9, "--out", out,
             )
-            records = [json.loads(line) for line in open(out)]
+            records = read_jsonl(out)
             costs.append([(r["algorithm"], r["rep"], r["cost_assignment"]) for r in records])
         assert costs[0] == costs[1]
 
@@ -264,7 +268,7 @@ class TestBench:
                 "bench", "--suite", "direct", "--dataset", toy_csv,
                 "--ks", "2,3", "--reps", 1, "--seed", 4, "--jobs", jobs, "--out", out,
             )
-            records = [json.loads(line) for line in open(out)]
+            records = read_jsonl(out)
             outs.append(sorted((r["algorithm"], r["k"], r["cost_assignment"]) for r in records))
         assert outs[0] == outs[1]
 
@@ -278,7 +282,7 @@ class TestBench:
         )
         assert code == 0
         (cell,) = [
-            r for r in map(json.loads, open(out)) if r["algorithm"] == algo and r["rep"] == 0
+            r for r in read_jsonl(out) if r["algorithm"] == algo and r["rep"] == 0
         ]
         capsys.readouterr()
         code = run_cli(

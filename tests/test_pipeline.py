@@ -143,14 +143,9 @@ class TestTracedLayerNames:
     """One prone call must go through the names a per-layer trace wraps."""
 
     def test_prone_reaches_traced_layers(self, monkeypatch):
-        calls = {"assign": 0, "find": 0, "update": 0}
-        assign = seeding1d.assign_to_sorted_centers
+        calls = {"find": 0, "update": 0}
         find = seeding1d.SamplingTree.find
         update = seeding1d.SamplingTree.update
-
-        def counted_assign(*args, **kwargs):
-            calls["assign"] += 1
-            return assign(*args, **kwargs)
 
         def counted_find(tree, r):
             calls["find"] += 1
@@ -163,13 +158,12 @@ class TestTracedLayerNames:
             assert tree.last_update_leaf_nodes == stop - start
             assert tree.last_update_internal_nodes == _ancestor_count(tree.capacity, start, stop)
 
-        monkeypatch.setattr(seeding1d, "assign_to_sorted_centers", counted_assign)
         monkeypatch.setattr(seeding1d.SamplingTree, "find", counted_find)
         monkeypatch.setattr(seeding1d.SamplingTree, "update", checked_update)
         data, _ = gen_gaussian_mixture(6, 300, 4, 100.0, rng=2)
         res = prone(data, ProneConfig(k=6, seed=1))
         assert res.seeding.k_found == 6
-        assert calls == {"assign": 1, "find": 5, "update": 5}
+        assert calls == {"find": 5, "update": 5}
 
 
 class TestProneCenterCost:

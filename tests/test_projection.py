@@ -118,6 +118,19 @@ class TestSampleDirection:
         csr = sample_direction(sp.csr_matrix(pts), variant, rng=3).direction
         np.testing.assert_allclose(csr, dense, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    @pytest.mark.parametrize("rows", [np.zeros((6, 3)), np.array([[2.0, -1.0, 5.0]])])
+    def test_zero_direction_falls_back_after_one_draw(self, variant, rows):
+        # constant data give a zero direction on every draw, so the variant
+        # draws once and one standard Gaussian draw follows
+        rng = np.random.default_rng(9)
+        d = sample_direction(rows, variant, rng=rng).direction
+        assert d.shape == (3,) and np.any(d != 0.0)
+        ref = np.random.default_rng(9)
+        ref.standard_normal(3 if variant == "variance" else rows.shape[0])
+        np.testing.assert_array_equal(d, ref.standard_normal(3))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
     def test_unknown_variant(self):
         data = as_dataset([[1.0]])
         with pytest.raises(ValueError):

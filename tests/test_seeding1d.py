@@ -5,33 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prone._util import power_abs
+from prone._util import mass_values, power_abs
 from prone.seeding1d import (
     _WINDOW,
     _improve,
     _sort,
-    assign_to_sorted_centers,
     seed_1d_fast,
     seed_1d_naive,
 )
 
 
-def brute_force_assign(points, center_values):
-    """Nearest center by scan; exact midpoint ties go to the later (larger) center."""
-    out = np.empty(len(points), dtype=np.int64)
-    cvals = np.asarray(center_values, dtype=np.float64)
-    for i, x in enumerate(points):
-        dists = np.abs(x - cvals)
-        # later index wins ties: scan reversed, convert back
-        out[i] = (cvals.size - 1) - int(np.argmin(dists[::-1]))
-    return out
-
-
 def two_pointer_assign(points_sorted, centers_sorted):
     """Reference sweep: advance the center while the next one is at least as close.
 
-    Differs from ``brute_force_assign`` only where two distances round to
-    the same float left of both centers.
+    Ranks are into the ascending centers; an exact midpoint tie goes right.
     """
     sigma = np.empty(len(points_sorted), dtype=np.intp)
     cs = [float(c) for c in centers_sorted]
@@ -171,75 +158,86 @@ class TestInvariants:
         assert stats.total_updates <= n * (n // 4 - 1)
 
 
-class TestAssignToSortedCenters:
-    def test_midpoint_tie_goes_right(self):
-        assert assign_to_sorted_centers([0, 1, 2], [0, 2]).tolist() == [0, 1, 1]
-
-    def test_point_left_of_all_centers(self):
-        assert assign_to_sorted_centers([-5], [0, 2]).tolist() == [0]
-
-    def test_empty_centers_rejected(self):
-        with pytest.raises(ValueError):
-            assign_to_sorted_centers([1.0], [])
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            n = int(rng.integers(1, 40))
-            k = int(rng.integers(1, 10))
-            pts = np.sort(rng.integers(0, 20, size=n).astype(float))  # integer grid forces ties
-            ctr = np.sort(rng.choice(20, size=k, replace=False).astype(float))
-            got = assign_to_sorted_centers(pts, ctr)
-            np.testing.assert_array_equal(got, brute_force_assign(pts, ctr))
+def assert_nearest_first_chosen(x, res, z):
+    """Each point's center attains its least powered distance on the mass
+    values, and no earlier-chosen center attains it."""
+    order, xs = _sort(np.asarray(x, dtype=np.float64))
+    xm = np.empty(xs.size)
+    xm[order] = mass_values(xs, z)
+    dists = power_abs(xm[:, None] - xm[res.center_indices], z)
+    least = dists.min(axis=1)
+    rows = np.arange(xs.size)
+    np.testing.assert_array_equal(dists[rows, res.assignment], least)
+    earlier = np.arange(res.k_found) < res.assignment[:, None]
+    assert not (earlier & (dists == least[:, None])).any()
 
 
-# an integer grid forces exact midpoint ties and duplicates; arbitrary
-# floats reach magnitudes where distances round together or overflow
+def run_both(x, k, z, seed):
+    fast, _ = seed_1d_fast(x, k, z, rng=seed)
+    return fast, seed_1d_naive(x, k, z, rng=seed)
+
+
+# an integer grid forces exact ties and duplicates; arbitrary floats reach
+# magnitudes where distances round together or masses need rescaling
 _value = st.one_of(
     st.integers(-6, 6).map(float), st.floats(allow_nan=False, allow_infinity=False)
 )
 
 
-class TestAssignMatchesSweep:
-    @settings(max_examples=600, deadline=None)
+class TestAssignmentRule:
+    """A point goes to its nearest center; among equally near ones, to the first chosen."""
+
+    @pytest.mark.parametrize("seeder", ["fast", "naive"])
+    def test_midpoint_tie_goes_to_first_chosen(self, seeder):
+        seen = set()
+        for seed in range(200):
+            fast, naive = run_both([0.0, 1.0, 2.0], 2, 2.0, seed)
+            res = fast if seeder == "fast" else naive
+            first, second = res.center_values.tolist()
+            if {first, second} != {0.0, 2.0}:
+                continue
+            seen.add(first)
+            assert res.assignment.tolist() == ([0, 0, 1] if first == 0.0 else [1, 0, 0])
+        assert seen == {0.0, 2.0}
+
+    @settings(max_examples=500, deadline=None)
     @given(
-        st.lists(_value, min_size=1, max_size=40),
-        st.lists(_value, min_size=1, max_size=8),
+        st.one_of(
+            st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=40),
+            st.lists(_value, min_size=1, max_size=40),
+        ),
+        st.integers(1, 10),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        st.integers(0, 2**32 - 1),
     )
-    def test_property(self, pts, ctr):
-        pts, ctr = np.sort(pts), np.sort(ctr)
-        np.testing.assert_array_equal(
-            assign_to_sorted_centers(pts, ctr), two_pointer_assign(pts, ctr)
-        )
+    def test_nearest_then_first_chosen(self, x, k, z, seed):
+        k = min(k, len(x))
+        for res in run_both(x, k, z, seed):
+            assert_nearest_first_chosen(x, res, z)
 
-    @pytest.mark.parametrize(
-        "pts, ctr",
-        [
-            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 4.0]),  # midpoint ties
-            ([-3.0, -1.0, 0.5, 5.0, 9.0], [0.0, 4.0]),  # left and right of every center
-            ([1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 2.0]),  # duplicate points
-            ([-1.0, 0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 2.0, 2.0]),  # repeated centers
-            ([-1.0, 3.0], [1.0, 1.0]),
-            ([7.0], [1.0]),  # n = 1, k = 1
-            ([7.0], [1.0, 6.0, 9.0]),
-            ([-4.0, 0.0, 8.0], [2.0]),  # k = 1
-            ([-1e17, 0.0, 0.5, 1.0], [0.0, 1.0]),  # far left: |x - 0| and |x - 1| round equal
-            ([-1.7e308, 0.0, 1.7e308], [-1e308, 1e308]),  # distances overflow to inf
-            ([-0.0, 0.0, 1.0], [-0.0, 0.0]),
-        ],
-    )
-    def test_edge_cases(self, pts, ctr):
-        got = assign_to_sorted_centers(pts, ctr)
-        np.testing.assert_array_equal(got, two_pointer_assign(pts, ctr))
+    @pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 3.0])
+    def test_integer_grids(self, z):
+        meta = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(meta.integers(1, 200))
+            x = meta.integers(-8, 9, n).astype(np.float64)
+            k = int(meta.integers(1, min(n, 20) + 1))
+            for res in run_both(x, k, z, int(meta.integers(2**32))):
+                assert_nearest_first_chosen(x, res, z)
 
-    def test_no_points(self):
-        assert assign_to_sorted_centers([], [1.0, 2.0]).tolist() == []
-
-    def test_rejects_descending_input(self):
-        with pytest.raises(ValueError):
-            assign_to_sorted_centers([2.0, 1.0], [0.0])
-        with pytest.raises(ValueError):
-            assign_to_sorted_centers([1.0, 2.0], [3.0, 0.0])
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    def test_tie_free_input_matches_sweep(self, z):
+        # where no tie exists the rule changes nothing: the assignment is the
+        # sweep's over the centers in ascending order, mapped to selection ranks
+        meta = np.random.default_rng(13)
+        for _ in range(100):
+            n = int(meta.integers(1, 300))
+            x = meta.standard_normal(n) * 10.0 ** float(meta.integers(-5, 6))
+            k = int(meta.integers(1, min(n, 30) + 1))
+            for res in run_both(x, k, z, int(meta.integers(2**32))):
+                by_value = np.argsort(res.center_values)
+                sweep = two_pointer_assign(np.sort(x), res.center_values[by_value])
+                np.testing.assert_array_equal(res.assignment[np.argsort(x)], by_value[sweep])
 
 
 class TestSort:
