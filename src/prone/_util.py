@@ -66,24 +66,23 @@ def check_masses(masses, n: int, name: str) -> np.ndarray:
     return m
 
 
-def power_abs(diff: np.ndarray, z: float) -> np.ndarray:
+def power_abs(diff: np.ndarray, z: float, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise |diff|**z with exact zeros and fast paths for z=1, 2.
 
     For z=2 the square is taken without the ``abs``: negation is exact and
     squaring clears the sign, so d*d equals |d|*|d| bit for bit. General z
     is evaluated as exp(z*ln|x|) so that every caller rounds the same way;
-    |x| = 0 maps to 0 exactly (no log singularity).
+    |x| = 0 maps to 0 exactly (no log singularity). ``out`` may be ``diff``
+    itself, which computes the powers in place with the same arithmetic.
     """
     d = np.asarray(diff, dtype=np.float64)
     if z == 2:
-        return d * d
-    ad = np.abs(d)
-    if z == 1:
-        return ad
-    out = np.zeros_like(ad)
-    nz = ad > 0
-    out[nz] = np.exp(z * np.log(ad[nz]))
-    return out
+        return np.multiply(d, d, out=out)
+    ad = np.abs(d, out=out)
+    if z != 1:
+        nz = ad > 0
+        ad[nz] = np.exp(z * np.log(ad[nz]))
+    return ad
 
 
 # Values of magnitude below 2^e have powered distances below 2^(z (e + 1)).

@@ -56,7 +56,8 @@ class Dataset:
     def __init__(self, mat) -> None:
         if sp.issparse(mat):
             m = mat.tocsr().astype(np.float64)
-            m.sort_indices()
+            # canonical: sorted indices, each (row, column) stored at most once
+            m.sum_duplicates()
             if not np.isfinite(m.data).all():
                 raise ValueError("points must be finite")
             self._mat = m

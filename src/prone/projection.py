@@ -35,6 +35,26 @@ class ProjectionVector:
     variant: str
 
 
+def _constant_features(data) -> np.ndarray:
+    """Mask of the features whose column max equals its min."""
+    if not data.is_sparse:
+        return data.points.max(axis=0) == data.points.min(axis=0)
+    # scipy's column max and min convert X to CSC first, a full copy; the
+    # stored entries (canonical, see Dataset) are reduced into d-length
+    # accumulators instead, and a column stored in fewer than n rows has a 0
+    mat = data.points
+    hi = np.full(data.d, -np.inf)
+    lo = np.full(data.d, np.inf)
+    np.maximum.at(hi, mat.indices, mat.data)
+    np.minimum.at(lo, mat.indices, mat.data)
+    stored = np.zeros(data.d, dtype=np.intp)
+    np.add.at(stored, mat.indices, 1)  # bincount would copy the indices to intp
+    has_zero = stored < data.n
+    hi[has_zero] = np.maximum(hi[has_zero], 0.0)
+    lo[has_zero] = np.minimum(lo[has_zero], 0.0)
+    return hi == lo
+
+
 def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
     d = data.d
     if variant == "standard":
@@ -52,17 +72,18 @@ def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
     if variant == "covariance":
         n = data.n
         h = rng.standard_normal(n)
-        xth = data.points.T @ h
-        # a CSR matrix's mean is a (1, d) np.matrix
-        mean = np.asarray(data.points.mean(axis=0)).ravel()
-        return (xth - mean * h.sum()) / np.sqrt(n)
+        # X_c^T h = X^T (h - mean(h)): no column means, and so no copy of a
+        # CSR X, which scipy's mean makes
+        h -= h.mean()
+        return (data.points.T @ h) / np.sqrt(n)
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVector:
     """Draw a projection direction for ``data`` using the given variant.
 
-    A data-dependent direction is exactly zero only for deterministic
+    A data-dependent direction gives a constant feature (column max equal
+    to its min) exactly zero weight. It is zero only for deterministic
     reasons (constant features, identical points), so a redraw would be zero
     again; such a draw falls back to one standard Gaussian draw instead, so
     downstream code still receives a usable vector.
@@ -70,6 +91,10 @@ def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVec
     data = as_dataset(data)
     rng = as_generator(rng)
     direction = _draw(data, variant, rng)
+    if variant != "standard":
+        # the variance and the centered sums round to about 1e-16 of a
+        # constant feature's value instead of 0, so its weight is set to 0
+        direction[_constant_features(data)] = 0.0
     if not np.any(direction != 0.0):
         direction = rng.standard_normal(data.d)
     return ProjectionVector(direction=direction, variant=variant)

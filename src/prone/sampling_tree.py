@@ -37,6 +37,16 @@ __all__ = ["SamplingTree"]
 _SCALAR_LEVEL_WIDTH = 8
 
 
+def _check_masses(vals: np.ndarray) -> None:
+    """Raise unless every mass is finite and nonnegative (-0.0 passes)."""
+    # NaN and negatives fail the first test, +inf the second; the exact
+    # message is worked out only on failure
+    if not (vals.min() >= 0.0 and vals.max() < math.inf):
+        if not np.isfinite(vals).all():
+            raise ValueError("masses must be finite")
+        raise ValueError("masses must be nonnegative")
+
+
 class SamplingTree:
     """Complete binary tree over n nonnegative masses, externally 0-indexed."""
 
@@ -44,18 +54,21 @@ class SamplingTree:
         a = np.asarray(masses, dtype=np.float64)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("masses must be a non-empty 1-D array")
-        if not np.isfinite(a).all():
-            raise ValueError("masses must be finite")
-        if (a < 0).any():
-            raise ValueError("masses must be nonnegative")
+        _check_masses(a)
         self._n = int(a.size)
         self._capacity = 1 << max(0, self._n - 1).bit_length()
         nodes = np.zeros(2 * self._capacity, dtype=np.float64)
-        nodes[self._capacity : self._capacity + self._n] = a
+        # the leaf masses as a writable view; seeding1d writes new masses
+        # into it and then calls update over the written range, and until
+        # that call total and find still read the old sums
+        self._leaves = nodes[self._capacity : self._capacity + self._n]
+        self._leaves[:] = a
         lo = self._capacity
         while lo > 1:
             lo >>= 1
-            nodes[lo : 2 * lo] = nodes[2 * lo : 4 * lo : 2] + nodes[2 * lo + 1 : 4 * lo : 2]
+            np.add(
+                nodes[2 * lo : 4 * lo : 2], nodes[2 * lo + 1 : 4 * lo : 2], out=nodes[lo : 2 * lo]
+            )
         self._nodes = nodes
         # scalar reads and writes through a memoryview are Python floats,
         # several times cheaper than numpy scalar indexing, and round the same
@@ -79,7 +92,7 @@ class SamplingTree:
     @property
     def masses(self) -> np.ndarray:
         """Copy of the current leaf masses."""
-        return self._nodes[self._capacity : self._capacity + self._n].copy()
+        return self._leaves.copy()
 
     def find(self, r: float) -> int:
         """Return the smallest index i with prefix_sum(i) > r.
@@ -116,11 +129,15 @@ class SamplingTree:
 
         ``a`` may be a full-length array aligned with the leaves (the slice
         [start:stop] is taken) or exactly the stop - start replacement values.
-        Recomputes every ancestor of the changed leaves from its children,
-        level by level: one numpy add per level wider than
+        ``a`` may also be the tree's own ``_leaves``, already written over
+        the range. Recomputes every ancestor of the changed leaves from its
+        children, level by level: one numpy add per level wider than
         ``_SCALAR_LEVEL_WIDTH`` nodes, scalar float adds (which round exactly
         like numpy's) on the narrower levels and up the single path to the
-        root. The masses are checked with one ``min`` and one ``max``.
+        root. The masses are checked with one ``min`` and one
+        ``max``, and invalid masses raise before any node is written. Masses
+        a caller already wrote into ``_leaves`` are not rolled back: they
+        stay there with stale ancestors until a valid update of their range.
         """
         if not (0 <= start < stop <= self._n):
             raise ValueError(f"range [{start}, {stop}) invalid for size {self._n}")
@@ -131,15 +148,12 @@ class SamplingTree:
             )
         if vals.shape[0] == self._n:
             vals = vals[start:stop]
-        # NaN and negatives fail the first test, +inf the second
-        if not (vals.min() >= 0.0 and vals.max() < math.inf):
-            if not np.isfinite(vals).all():
-                raise ValueError("masses must be finite")
-            raise ValueError("masses must be nonnegative")
+        _check_masses(vals)
         nodes = self._nodes
         view = self._view
         lo = self._capacity + start
         hi = self._capacity + stop - 1
+        # numpy skips the copy when vals is that very range of _leaves
         nodes[lo : hi + 1] = vals
         self.last_update_leaf_nodes = stop - start
         internal = 0

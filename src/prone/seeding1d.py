@@ -16,19 +16,31 @@ points it strictly improves, so writing the center's rank over that range
 keeps every point's label in step with its mass; no assignment pass
 follows.
 
+The interval and the identity with ``seed_1d_naive`` below hold only
+while rounding keeps the powered distances in order. Once they exceed
+about 2^53 times the gap between the new center and an older center on
+the same side, the rounded values alternate between ties and strict
+improvements, and the scan stops at the first tie: on the sorted values
+[0, 1, 2^53+2, 2^53+4, 2^53+6, 2^53+8, 2^53+10] with masses from center
+0, the repair for center 1 (z = 1 or 2) stops at index 3 and leaves
+2^53+6 and 2^53+10 above the minimum that ``seed_1d_naive`` stores. A
+run meets this only if the close center is drawn while the far points
+still hold their mass, with probability below about 2^(-53 z) per draw.
+
 One draw makes a fixed, small number of numpy calls. The repair computes
 the powered distances on a window of ``_WINDOW`` points each side of the
 new center, and one comparison with the current masses finds the first
 point on each side that the new center does not improve; only a side
 whose run reaches the window's edge continues with a scan in doubling
-blocks. The tree then gets one ``update`` over the whole written range,
-which validates the masses and recomputes their ancestors. The uniforms
-for all k - 1 draws come from one ``rng.random(k - 1)`` call, which on
-numpy's generators yields the same values and leaves the same state as
-k - 1 scalar calls. If the run exhausts after j draws, the generator is
-reset to its state before that call and advanced by ``rng.random(j)``,
-so it ends exactly where a scalar loop would have left it; callers such
-as the boosted pipeline keep drawing from it.
+blocks. The repair writes the masses straight into the tree's leaves,
+and the tree then gets one ``update`` over the whole written range, which
+validates the masses and recomputes their ancestors without a copy. The
+uniforms for all k - 1 draws come from one ``rng.random(k - 1)`` call,
+which on numpy's generators yields the same values and leaves the same
+state as k - 1 scalar calls. If the run exhausts after j draws, the
+generator is reset to its state before that call and advanced by
+``rng.random(j)``, so it ends exactly where a scalar loop would have left
+it; callers such as the boosted pipeline keep drawing from it.
 
 ``seed_1d_naive`` recomputes all n distances after every draw (O(nk)). It
 exists as an oracle: both functions consume randomness identically (one
@@ -110,14 +122,20 @@ class SeedingStats:
     """Instrumentation for one fast-seeding run.
 
     ``total_updates`` counts distance-array writes made by the outward
-    scans (the new center's own zero is not counted); ``comparisons``
-    counts the loop-condition evaluations of a scalar outward walk, which
-    tests once per write plus once to stop on each side, so always
-    ``comparisons == total_updates + 2 * (k_found - 1)``.
+    scans (the new center's own zero is not counted) and ``draws`` the
+    centers drawn after the first, ``k_found - 1``.
     """
 
     total_updates: int = 0
-    comparisons: int = 0
+    draws: int = 0
+
+    @property
+    def comparisons(self) -> int:
+        """Loop-condition evaluations of a scalar outward walk.
+
+        Such a walk tests once per write plus once to stop on each side.
+        """
+        return self.total_updates + 2 * self.draws
 
 
 def _validate(points: np.ndarray, k: int, z: float) -> None:
@@ -144,6 +162,18 @@ def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, xs
 
 
+def _first_masses(xm: np.ndarray, first: int, z: float) -> np.ndarray:
+    """Masses |x_i - x_first|^z of every point after the first draw.
+
+    Computed in place on one n-length difference array, shared by both
+    seeders so that they start from bit-identical masses.
+    """
+    a = xm - xm[first]
+    power_abs(a, z, out=a)
+    a[first] = 0.0
+    return a
+
+
 def _improve(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int, int]:
     """Lower ``a`` to |x_i - x_center|^z on the improved run around ``center``.
 
@@ -160,7 +190,8 @@ def _improve(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int,
     c = xs[center]
     w0 = max(center - _WINDOW, 0)
     w1 = min(center + _WINDOW + 1, n)
-    vals = power_abs(xs[w0:w1] - c, z)
+    vals = xs[w0:w1] - c
+    power_abs(vals, z, out=vals)
     # the method forms skip the dispatch of np.flatnonzero/np.searchsorted
     stops = (vals >= a[w0:w1]).nonzero()[0]
     at = int(stops.searchsorted(center - w0))  # stops[at] is the center
@@ -189,7 +220,8 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
         else:
             part = slice(max(i - block, -1) + 1, i + 1)
         # both reversed when walking left, so index 0 is nearest the center
-        vals = power_abs(xs[part][::step] - c, z)
+        vals = xs[part][::step] - c
+        power_abs(vals, z, out=vals)
         seg = a[part][::step]  # a view: writes land in ``a``
         improve = vals < seg
         run = int(np.argmin(improve))  # first point not improved, 0 if all are
@@ -214,10 +246,11 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     xm = mass_values(xs, z)
 
     first = int(rng.integers(n))
-    a = power_abs(xm - xm[first], z)
-    a[first] = 0.0
-    tree = SamplingTree(a)
-    label = np.zeros(n, dtype=np.intp)
+    tree = SamplingTree(_first_masses(xm, first, z))
+    # the masses live in the tree's leaves: each repair writes them once
+    # there, and ``update`` re-sums the range without copying it
+    a = tree._leaves
+    label = np.zeros(n, dtype=np.int32 if k <= np.iinfo(np.int32).max else np.intp)
     chosen = [first]
     writes = 0
     exhausted = False
@@ -242,8 +275,8 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
         label[lo:hi] = len(chosen)
         chosen.append(lt)
         writes += hi - lo - 1
-    draws = len(chosen) - 1
-    stats = SeedingStats(total_updates=writes, comparisons=writes + 2 * draws)
+    stats = SeedingStats(total_updates=writes, draws=len(chosen) - 1)
+    del tree, a  # the leaves are n masses; free them before the scatter
 
     chosen_arr = np.array(chosen, dtype=np.intp)
     assignment = np.empty(n, dtype=np.intp)
@@ -274,8 +307,7 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
     xm = mass_values(xs, z)
 
     first = int(rng.integers(n))
-    a = power_abs(xm - xm[first], z)
-    a[first] = 0.0
+    a = _first_masses(xm, first, z)
     chosen = [first]
     exhausted = False
 

@@ -229,6 +229,23 @@ class TestCosts:
         cost = cost_with_assignment(pts, centers, np.array([1, 0]), z=2)
         assert cost == 8.0
 
+    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+    def test_dense_cost_kernel_peak_memory(self, z):
+        # the output plus one block buffer: the gather writes straight into
+        # the buffer, and the clamp and the power reuse the output
+        n, d = 200_000, 16
+        rng = np.random.default_rng(6)
+        pts = as_dataset(rng.standard_normal((n, d)))
+        centers = rng.standard_normal((20, d))
+        sigma = rng.integers(20, size=n)
+        tracemalloc.start()
+        try:
+            out = pointwise_assignment_costs(pts, centers, sigma, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * _COST_CHUNK * d + 2**16
+
     def test_nearest_assignment_cost_agrees(self):
         pts = as_dataset([[0.0], [2.0]])
         centers = np.array([[0.0], [2.0]])

@@ -121,6 +121,23 @@ class TestProne:
         assert held < 1.5 * 8 * n + 2**18
 
 
+    def test_peak_memory_of_one_call(self):
+        # the seeder keeps its masses only in the tree's leaves and frees the
+        # tree before it scatters the labels, so the peak holds the
+        # projection, the sort's permutation and values, the first masses
+        # and the tree's nodes
+        n = 200_000
+        pts = as_dataset(np.random.default_rng(5).standard_normal((n, 16)))
+        tracemalloc.start()
+        try:
+            prone(pts, ProneConfig(k=50, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capacity = 1 << (n - 1).bit_length()
+        assert peak < 4 * 8 * n + 16 * capacity + 2**19
+
+
 class TestNonFiniteZ:
     @pytest.mark.parametrize("z", [float("nan"), float("inf"), 0.5])
     def test_config_rejects(self, z):

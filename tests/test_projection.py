@@ -1,5 +1,7 @@
 """Tests for 1-D random projections: exact dots, variant behavior, Gaussian moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -119,7 +121,15 @@ class TestSampleDirection:
         np.testing.assert_allclose(csr, dense, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("variant", ["variance", "covariance"])
-    @pytest.mark.parametrize("rows", [np.zeros((6, 3)), np.array([[2.0, -1.0, 5.0]])])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((6, 3)),
+            np.array([[2.0, -1.0, 5.0]]),
+            np.full((50, 3), 3.7),
+            sp.csr_matrix(np.full((50, 3), 3.7)),
+        ],
+    )
     def test_zero_direction_falls_back_after_one_draw(self, variant, rows):
         # constant data give a zero direction on every draw, so the variant
         # draws once and one standard Gaussian draw follows
@@ -130,6 +140,46 @@ class TestSampleDirection:
         ref.standard_normal(3 if variant == "variance" else rows.shape[0])
         np.testing.assert_array_equal(d, ref.standard_normal(3))
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_constant_feature_gets_exactly_zero_weight(self, variant, sparse):
+        # np.var and the centered sums round a constant 3.7 to ~1e-15, not 0
+        pts = np.random.default_rng(21).standard_normal((50, 4))
+        pts[:, 2] = 3.7
+        data = sp.csr_matrix(pts) if sparse else pts
+        for seed in range(10):
+            d = sample_direction(data, variant, rng=seed).direction
+            assert d[2] == 0.0
+            assert np.all(d[[0, 1, 3]] != 0.0)
+
+    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    def test_csr_constant_test_sums_duplicates_and_counts_implicit_zeros(self, variant):
+        # column 0 stores 1.0 + 2.0 in row 0 and 3.0 in rows 1, 2: constant;
+        # column 1 stores 3.0 in rows 0, 1 and nothing in row 2: not constant;
+        # column 2 stores nothing: constant; column 3 stores 3.0 + 3.0 in
+        # row 0 and 3.0 in rows 1, 2: not constant
+        indices = [0, 0, 1, 3, 3, 0, 1, 3, 0, 3]
+        mat = sp.csr_matrix(([1.0, 2.0] + [3.0] * 8, indices, [0, 5, 8, 10]), shape=(3, 4))
+        assert not mat.has_canonical_format
+        for seed in range(10):
+            d = sample_direction(mat, variant, rng=seed).direction
+            assert d[0] == 0.0 and d[2] == 0.0
+            assert d[1] != 0.0 and d[3] != 0.0
+
+    def test_csr_covariance_holds_no_copy_of_x(self):
+        # scipy's column max and min would copy X to CSC: 12 bytes per
+        # stored value, 12 MB here, against about 3 * 8n = 0.5 MB of n-vectors
+        n, d = 20_000, 200
+        mat = sp.random(n, d, density=0.25, format="csr", random_state=5)
+        data = Dataset(mat)
+        tracemalloc.start()
+        try:
+            sample_direction(data, "covariance", rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n + 2**16
 
     def test_unknown_variant(self):
         data = as_dataset([[1.0]])

@@ -1,6 +1,7 @@
 """Tests for the mass-sampling tree: worked examples, a linear-scan oracle, and bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,35 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SamplingTree([])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, float("nan")], "finite"),
+            ([float("inf")], "finite"),
+            ([-1.0, float("-inf")], "finite"),
+            ([-1.0, float("nan")], "finite"),
+            ([1.0, -1e-300], "nonnegative"),
+        ],
+    )
+    def test_rejection_messages(self, bad, message):
+        with pytest.raises(ValueError, match=f"masses must be {message}"):
+            SamplingTree(bad)
+
+    def test_accepts_negative_zero(self):
+        assert SamplingTree([-0.0, 2.0]).total == 2.0
+
+    def test_peak_memory_is_the_node_array(self):
+        # validation is two reductions and every level is added into the
+        # node array, so nothing n-sized is allocated beside it
+        masses = np.random.default_rng(2).random(200_000)
+        tracemalloc.start()
+        try:
+            tree = SamplingTree(masses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * tree.capacity + 2**12
 
 
 class TestFind:
@@ -154,6 +184,35 @@ class TestUpdate:
         assert tree.total == 7.0
         assert tree.find(0.0) == 1
         tree.check_consistency()
+
+    def test_update_from_leaves_matches_update_from_copy(self):
+        rng = np.random.default_rng(11)
+        masses = rng.random(300)
+        in_place, copied = SamplingTree(masses), SamplingTree(masses)
+        for _ in range(200):
+            start = int(rng.integers(0, 300))
+            stop = int(rng.integers(start + 1, 301))
+            vals = rng.random(stop - start)
+            vals[rng.random(vals.size) < 0.3] = 0.0
+            in_place._leaves[start:stop] = vals
+            in_place.update(in_place._leaves, start, stop)
+            copied.update(in_place._leaves.copy(), start, stop)
+            np.testing.assert_array_equal(in_place._nodes, copied._nodes)
+            assert in_place.last_update_leaf_nodes == copied.last_update_leaf_nodes
+            assert in_place.last_update_internal_nodes == copied.last_update_internal_nodes
+            in_place.check_consistency()
+            copied.check_consistency()
+
+    def test_invalid_leaf_write_raises_and_a_valid_rewrite_recovers(self):
+        tree = SamplingTree([1.0, 2.0, 3.0])
+        tree._leaves[1] = -1.0
+        with pytest.raises(ValueError, match="masses must be nonnegative"):
+            tree.update(tree._leaves, 1, 2)
+        tree._leaves[1] = 0.5
+        tree.update(tree._leaves, 1, 2)
+        tree.check_consistency()
+        assert tree.total == 4.5
+        assert tree.find(1.2) == 1
 
     def test_internal_node_count_across_scalar_levels(self):
         # widths 1..64 from every offset mod 16 cross the width at which the

@@ -9,6 +9,7 @@ from prone._util import mass_values, power_abs
 from prone.seeding1d import (
     _WINDOW,
     _improve,
+    SeedingStats,
     _sort,
     seed_1d_fast,
     seed_1d_naive,
@@ -403,6 +404,11 @@ class TestSeedingStats:
             z = float(meta.choice([1.0, 1.5, 2.0, 3.0]))
             res, stats = seed_1d_fast(x, k=k, z=z, rng=int(meta.integers(2**32)))
             assert stats.comparisons == stats.total_updates + 2 * (res.k_found - 1)
+
+    def test_stores_draws_and_derives_comparisons(self):
+        res, stats = seed_1d_fast(np.arange(40.0), k=7, rng=2)
+        assert stats.draws == res.k_found - 1 == 6
+        assert SeedingStats(total_updates=5, draws=2).comparisons == 9
 
 
 @st.composite
