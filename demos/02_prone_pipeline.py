@@ -10,7 +10,7 @@ to lift.
 
 The script clusters a well-separated Gaussian mixture and compares
 cost and wall time against full k-means++ seeding, then shows the
-three direction variants side by side.
+two direction variants side by side.
 """
 
 import time
@@ -20,6 +20,7 @@ import numpy as np
 from prone.baseline import kmeanspp_seed
 from prone.dataset import gen_gaussian_mixture
 from prone.pipeline import ProneConfig, prone, prone_center_cost
+from prone.projection import VARIANTS
 
 
 def main() -> None:
@@ -59,15 +60,15 @@ def main() -> None:
 
     print("\n== direction variants ==")
     print(f"  {'variant':<12} {'median reassigned cost':>24}")
-    for variant in ("standard", "variance", "covariance"):
+    for variant in VARIANTS:
         costs = [
             prone_center_cost(data, prone(data, ProneConfig(
                 k=k, z=2.0, variant=variant, seed=seed)))
             for seed in range(5)
         ]
         print(f"  {variant:<12} {np.median(costs):>24.4g}")
-    print("  (variance/covariance weight the direction toward spread-out")
-    print("   coordinates; on an isotropic mixture all three look alike)")
+    print("  (covariance weights the direction toward the data's spread;")
+    print("   on an isotropic mixture the two look alike)")
 
 
 if __name__ == "__main__":

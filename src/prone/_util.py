@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "as_generator",
+    "check_k",
     "check_z",
     "check_masses",
     "power_abs",
@@ -37,6 +38,14 @@ def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Gene
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.Generator(np.random.Philox(rng))
+
+
+def check_k(k, n: int) -> None:
+    """Raise unless ``k`` is an int or numpy integer (not a bool) in [1, n]."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k={k!r} must be an integer")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
 
 
 def check_z(z):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import as_generator, check_masses, check_z, inverse_cdf, padded_pairwise_sum
+from ._util import as_generator, check_k, check_masses, check_z, inverse_cdf, padded_pairwise_sum
 from .dataset import as_dataset
 
 __all__ = [
@@ -227,8 +227,7 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     data = as_dataset(points)
     mat, sparse = data.points, data.is_sparse
     n = data.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
+    check_k(k, n)
     check_z(z)
     w = None if weights is None else check_masses(weights, n, "weights")
     rng = as_generator(rng)

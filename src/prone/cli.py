@@ -30,7 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -129,17 +129,14 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - t0
 
 
-def _prone_run(variant: str):
-    def run(data, k, z, rng, alpha=None) -> Run:
-        res, seconds = _timed(prone, data, ProneConfig(k=k, z=z, variant=variant), rng=rng)
-        return Run(
-            res.model.centers, res.model.assignment, res.seeding.k_found, res.exhausted,
-            {**res.timings, "call": seconds}, cost_assignment=res.model.cost,
-            total_updates=res.seeding_stats.total_updates,
-            comparisons=res.seeding_stats.comparisons,
-        )
-
-    return run
+def _prone_run(data, k, z, rng, alpha=None, variant="standard") -> Run:
+    res, seconds = _timed(prone, data, ProneConfig(k=k, z=z, variant=variant), rng=rng)
+    return Run(
+        res.model.centers, res.model.assignment, res.seeding.k_found, res.exhausted,
+        {**res.timings, "call": seconds}, cost_assignment=res.model.cost,
+        total_updates=res.seeding_stats.total_updates,
+        comparisons=res.seeding_stats.comparisons,
+    )
 
 
 def _kmeanspp_run(data, k, z, rng, alpha=None) -> Run:
@@ -166,9 +163,8 @@ def _boosted_run(data, k, z, rng, alpha=None) -> Run:
 # ``kmeanspp_seed`` and ``boosted_prone`` up in this module when called, so a
 # tracer that replaces those names after import still sees every call.
 ALGORITHMS = {
-    "prone": _prone_run("standard"),
-    "prone-variance": _prone_run("variance"),
-    "prone-covariance": _prone_run("covariance"),
+    "prone": _prone_run,
+    "prone-covariance": partial(_prone_run, variant="covariance"),
     "kmeanspp": _kmeanspp_run,
     "boosted": _boosted_run,
 }
@@ -227,7 +223,7 @@ def cmd_cluster(args) -> int:
 
 
 def _direct_cell(data, k, z, rng, task):
-    for algo in ("prone", "prone-variance", "prone-covariance", "kmeanspp"):
+    for algo in ("prone", "prone-covariance", "kmeanspp"):
         yield algo, ALGORITHMS[algo](data, k, z, rng()), {}
 
 

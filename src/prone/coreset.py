@@ -198,8 +198,8 @@ def boosted_prone(
 ) -> BoostedResult:
     """Projected seeding, sensitivity coreset, then weighted seeding on it.
 
-    The coreset has s = ceil(alpha * n) points; alpha must satisfy
-    ceil(alpha * n) >= k or there are not enough points to seed k centers.
+    The coreset has s = ceil(alpha * n) i.i.d. draws, so any finite alpha > 0
+    with s >= k works; a smaller s cannot seed k centers.
 
     Full-data passes, all inside prone: the projection ``X @ v``, the lift
     (centers of mass) and the per-point assignment costs. The sensitivity
@@ -210,6 +210,8 @@ def boosted_prone(
     generator.
     """
     check_z(z)
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha={alpha} must be finite and positive")
     data = as_dataset(data)
     s = math.ceil(alpha * data.n)
     if s < k:

@@ -54,6 +54,9 @@ class Dataset:
     __slots__ = ("_mat", "is_sparse")
 
     def __init__(self, mat) -> None:
+        # the float64 cast would drop the imaginary part, with only a warning
+        if np.iscomplexobj(mat):
+            raise ValueError("points must be real, not complex")
         if sp.issparse(mat):
             m = mat.tocsr().astype(np.float64)
             # canonical: sorted indices, each (row, column) stored at most once

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_generator, check_z
+from ._util import as_generator, check_k, check_z
 from .baseline import ClusteringModel, centers_of_mass, cost_with_nearest, pointwise_assignment_costs
 from .dataset import as_dataset
-from .projection import ProjectionVector, sample_direction, project
+from .projection import ProjectionVector, check_variant, sample_direction, project
 from .seeding1d import Seeding1DResult, SeedingStats, seed_1d_fast
 
 __all__ = ["ProneConfig", "ProneResult", "prone", "prone_center_cost"]
@@ -38,6 +38,7 @@ class ProneConfig:
 
     def __post_init__(self) -> None:
         check_z(self.z)
+        check_variant(self.variant)
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
     boosted pipeline reuses the vector instead of computing it again.
     """
     data = as_dataset(data)
-    if not 1 <= cfg.k <= data.n:
-        raise ValueError(f"k={cfg.k} must satisfy 1 <= k <= n={data.n}")
+    check_k(cfg.k, data.n)
     gen = as_generator(rng) if rng is not None else as_generator(cfg.seed)
 
     t0 = time.perf_counter()

@@ -1,16 +1,15 @@
 """Random 1-D projections of a point set.
 
-Three ways to draw the direction vector:
+Two ways to draw the direction vector:
 
 * ``standard``   - g ~ N(0, I_d);
-* ``variance``   - entry j is g_j times the empirical std of feature j,
-  emphasizing high-variance features (constant features project to 0);
 * ``covariance`` - v = X_c^T h / sqrt(n) with h ~ N(0, I_n) and X_c the
   mean-centered data, which has law N(0, Sigma_emp) without ever forming
   the d x d covariance matrix: O(nnz + n + d) time.
 
 Projecting is a single matrix-vector product, so the whole reduction to
-one dimension costs O(nnz + n + d).
+one dimension costs O(nnz + n + d). Neither draw copies X: each holds
+O(n + d) scalars beyond it, on dense and CSR input alike.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .dataset import as_dataset
 
 __all__ = ["ProjectionVector", "VARIANTS", "sample_direction", "project"]
 
-VARIANTS = ("standard", "variance", "covariance")
+VARIANTS = ("standard", "covariance")
 
 
 @dataclass(frozen=True)
@@ -55,45 +54,35 @@ def _constant_features(data) -> np.ndarray:
     return hi == lo
 
 
-def _draw(data, variant: str, rng: np.random.Generator) -> np.ndarray:
-    d = data.d
-    if variant == "standard":
-        return rng.standard_normal(d)
-    if variant == "variance":
-        g = rng.standard_normal(d)
-        if data.is_sparse:
-            mat = data.points
-            mean = np.asarray(mat.mean(axis=0)).ravel()
-            mean_sq = np.asarray(mat.multiply(mat).mean(axis=0)).ravel()
-            var = np.maximum(mean_sq - mean * mean, 0.0)
-        else:
-            var = np.var(data.points, axis=0)
-        return g * np.sqrt(var)
-    if variant == "covariance":
-        n = data.n
-        h = rng.standard_normal(n)
-        # X_c^T h = X^T (h - mean(h)): no column means, and so no copy of a
-        # CSR X, which scipy's mean makes
-        h -= h.mean()
-        return (data.points.T @ h) / np.sqrt(n)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+def check_variant(variant: str) -> None:
+    """Raise unless ``variant`` names one of ``VARIANTS``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVector:
     """Draw a projection direction for ``data`` using the given variant.
 
-    A data-dependent direction gives a constant feature (column max equal
-    to its min) exactly zero weight. It is zero only for deterministic
-    reasons (constant features, identical points), so a redraw would be zero
-    again; such a draw falls back to one standard Gaussian draw instead, so
-    downstream code still receives a usable vector.
+    The covariance direction gives a constant feature (column max equal to
+    its min) exactly zero weight. It is zero only for deterministic
+    reasons (all features constant), so a redraw would be zero again; such
+    a draw falls back to one standard Gaussian draw instead, so downstream
+    code still receives a usable vector.
     """
+    check_variant(variant)
     data = as_dataset(data)
     rng = as_generator(rng)
-    direction = _draw(data, variant, rng)
-    if variant != "standard":
-        # the variance and the centered sums round to about 1e-16 of a
-        # constant feature's value instead of 0, so its weight is set to 0
+    if variant == "standard":
+        direction = rng.standard_normal(data.d)
+    else:
+        n = data.n
+        h = rng.standard_normal(n)
+        # X_c^T h = X^T (h - mean(h)): no column means, and so no copy of a
+        # CSR X, which scipy's mean makes
+        h -= h.mean()
+        direction = (data.points.T @ h) / np.sqrt(n)
+        # the centered sums round to about 1e-16 of a constant feature's
+        # value instead of 0, so its weight is set to 0
         direction[_constant_features(data)] = 0.0
     if not np.any(direction != 0.0):
         direction = rng.standard_normal(data.d)

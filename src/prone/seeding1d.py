@@ -75,7 +75,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator, check_z, inverse_cdf, mass_values, padded_pairwise_sum, power_abs
+from ._util import (
+    as_generator, check_k, check_z, inverse_cdf, mass_values, padded_pairwise_sum, power_abs,
+)
 from .sampling_tree import SamplingTree
 
 __all__ = [
@@ -143,8 +145,7 @@ def _validate(points: np.ndarray, k: int, z: float) -> None:
         raise ValueError("points must be a non-empty 1-D array")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    if not 1 <= k <= points.size:
-        raise ValueError(f"k={k} must satisfy 1 <= k <= n={points.size}")
+    check_k(k, points.size)
     check_z(z)
 
 

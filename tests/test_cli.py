@@ -56,7 +56,7 @@ class TestCluster:
         assert "total_updates" in record["stats"]
 
     def test_all_algorithms_run(self, toy_csv, tmp_path, capsys):
-        for algo in ("prone", "prone-variance", "prone-covariance", "kmeanspp"):
+        for algo in ("prone", "prone-covariance", "kmeanspp"):
             code = run_cli(
                 "cluster", "--input", toy_csv, "--k", 2, "--algo", algo,
                 "--seed", 3, "--output", tmp_path / algo,
@@ -88,6 +88,21 @@ class TestCluster:
         )
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
+    def test_boosted_bad_alpha_is_an_error_not_a_crash(self, toy_csv, tmp_path, capsys, alpha):
+        code = run_cli(
+            "cluster", "--input", toy_csv, "--k", 2, "--algo", "boosted",
+            "--alpha", alpha, "--seed", 0, "--output", tmp_path / "o",
+        )
+        assert code == 2
+        assert "error: alpha" in capsys.readouterr().err
+
+    def test_variance_algorithm_removed(self, toy_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cluster", "--input", toy_csv, "--k", 2, "--algo", "prone-variance",
+                    "--output", tmp_path / "o")
+        assert exc.value.code == 2
 
     def test_boosted_requires_alpha(self, toy_csv, tmp_path, capsys):
         code = run_cli(
@@ -187,7 +202,7 @@ class TestBench:
         )
         assert code == 0
         records = read_jsonl(out)
-        assert len(records) == 2 * 3 * 4  # ks x reps x algorithms
+        assert len(records) == 2 * 3 * 3  # ks x reps x algorithms
         assert (tmp_path / "direct.jsonl.summary.csv").exists()
 
     def test_summary_columns_and_speedup(self, toy_csv, tmp_path, capsys):

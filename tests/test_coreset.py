@@ -258,6 +258,17 @@ class TestBoosted:
         with pytest.raises(ValueError, match="finite"):
             boosted_prone(data, k=2, z=z, alpha=0.5, rng=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_non_finite_or_nonpositive_alpha_rejected(self, alpha):
+        data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
+        with pytest.raises(ValueError, match="alpha=.* must be finite and positive"):
+            boosted_prone(data, k=2, z=2, alpha=alpha, rng=0)
+
+    def test_alpha_above_one_draws_more_than_n(self):
+        data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
+        res = boosted_prone(data, k=2, z=2, alpha=3.0, rng=0)
+        assert res.coreset.weights.shape == (300,)
+
     def test_alpha_n_below_k_rejected(self):
         data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
         with pytest.raises(ValueError, match="alpha"):

@@ -31,6 +31,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             as_dataset([[1.0, float("inf")]])
 
+    @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
+    def test_rejects_complex(self, layout):
+        # the float64 cast would drop the imaginary part with only a warning
+        with pytest.raises(ValueError, match="complex"):
+            Dataset(layout(np.ones((3, 2)) + 1j))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_dataset(np.empty((0, 3)))

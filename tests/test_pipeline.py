@@ -7,9 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 from prone import seeding1d
-from prone.baseline import cost_with_nearest
+from prone.baseline import cost_with_nearest, kmeanspp_seed
 from prone.dataset import as_dataset, gen_gaussian_mixture
 from prone.pipeline import ProneConfig, ProneResult, prone, prone_center_cost
+from prone.projection import VARIANTS
+from prone.seeding1d import seed_1d_fast
 
 
 class TestProne:
@@ -26,7 +28,7 @@ class TestProne:
             assert res.model.cost == 0.0
             assert res.model.assignment[0] != res.model.assignment[1]
 
-    @pytest.mark.parametrize("variant", ["standard", "variance", "covariance"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_dense_and_csr_costs_agree(self, variant):
         data, _ = gen_gaussian_mixture(5, 60, 6, 20.0, rng=3)
         pts = data.to_dense().copy()
@@ -73,7 +75,7 @@ class TestProne:
 
     def test_variants_run(self):
         data, _ = gen_gaussian_mixture(4, 30, 5, 200.0, rng=8)
-        for variant in ("standard", "variance", "covariance"):
+        for variant in VARIANTS:
             res = prone(data, ProneConfig(k=4, variant=variant, seed=9))
             assert res.projection.variant == variant
             assert np.isfinite(res.model.cost)
@@ -144,6 +146,33 @@ class TestNonFiniteZ:
         # prone takes z only through its config, so this guards prone too
         with pytest.raises(ValueError, match="finite and >= 1"):
             ProneConfig(k=2, z=z)
+
+
+def test_config_rejects_unknown_variant():
+    with pytest.raises(ValueError, match=r"expected one of \('standard', 'covariance'\)"):
+        ProneConfig(k=3, variant="variance")
+
+
+# every entry point that takes k, called on 10 points in R^2
+K_ENTRY_POINTS = {
+    "prone": lambda pts, k: prone(pts, ProneConfig(k=k, seed=0)),
+    "seed_1d_fast": lambda pts, k: seed_1d_fast(pts[:, 0], k, rng=0),
+    "kmeanspp_seed": lambda pts, k: kmeanspp_seed(pts, k, rng=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+def test_k_must_be_an_integer(entry):
+    # a float k used to fail inside numpy with a TypeError, and k=True ran as k=1
+    call = K_ENTRY_POINTS[entry]
+    pts = np.random.default_rng(3).standard_normal((10, 2))
+    for k in (2.5, 3.0, np.float64(3.0), True):
+        with pytest.raises(ValueError, match=r"^k=.* must be an integer$"):
+            call(pts, k)
+    for k in (0, 11):
+        with pytest.raises(ValueError, match=r"^k=.* must satisfy 1 <= k <= n=10$"):
+            call(pts, k)
+    call(pts, np.int64(3))
 
 
 def _ancestor_count(capacity, start, stop):

@@ -7,7 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 from prone.dataset import Dataset, as_dataset
-from prone.projection import ProjectionVector, project, sample_direction
+from prone.projection import VARIANTS, ProjectionVector, project, sample_direction
+
+# the variants whose direction depends on the data
+DATA_DEPENDENT = [v for v in VARIANTS if v != "standard"]
 
 
 def vec(direction):
@@ -74,22 +77,6 @@ class TestSampleDirection:
         assert np.abs(draws.mean(axis=0)).max() < 0.05
         np.testing.assert_allclose(draws.var(axis=0), 1.0, rtol=0.05)
 
-    def test_variance_variant_zeroes_constant_feature(self):
-        data = as_dataset([[1.0, 7.0, 2.0], [3.0, 7.0, 5.0], [0.0, 7.0, 9.0]])
-        for seed in range(20):
-            d = sample_direction(data, "variance", rng=seed).direction
-            assert d[1] == 0.0
-            assert d[0] != 0.0 and d[2] != 0.0
-
-    def test_variance_variant_scales_by_std(self):
-        # feature stds (1, 10): entry magnitude ratios follow over many draws
-        rng = np.random.default_rng(8)
-        col0 = rng.standard_normal(4000)
-        data = as_dataset(np.column_stack([col0, 10.0 * col0]))
-        draws = np.array([sample_direction(data, "variance", rng=s).direction for s in range(300)])
-        ratio = np.abs(draws[:, 1]).mean() / np.abs(draws[:, 0]).mean()
-        assert ratio == pytest.approx(10.0, rel=0.05)
-
     def test_covariance_variant_rank_one(self):
         # centered data on a line through the origin: direction is parallel to it
         line = np.array([3.0, 4.0, 0.0]) / 5.0
@@ -111,7 +98,7 @@ class TestSampleDirection:
         emp = draws.T @ draws / draws.shape[0]
         np.testing.assert_allclose(emp, target, atol=0.15 * np.abs(target).max())
 
-    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    @pytest.mark.parametrize("variant", DATA_DEPENDENT)
     def test_dense_and_csr_directions_agree(self, variant):
         rng = np.random.default_rng(17)
         pts = rng.standard_normal((300, 7)) * [1.0, 5.0, 0.1, 2.0, 1.0, 3.0, 1.0] + 2.0
@@ -120,7 +107,7 @@ class TestSampleDirection:
         csr = sample_direction(sp.csr_matrix(pts), variant, rng=3).direction
         np.testing.assert_allclose(csr, dense, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    @pytest.mark.parametrize("variant", DATA_DEPENDENT)
     @pytest.mark.parametrize(
         "rows",
         [
@@ -132,19 +119,19 @@ class TestSampleDirection:
     )
     def test_zero_direction_falls_back_after_one_draw(self, variant, rows):
         # constant data give a zero direction on every draw, so the variant
-        # draws once and one standard Gaussian draw follows
+        # draws its n-vector once and one standard Gaussian draw follows
         rng = np.random.default_rng(9)
         d = sample_direction(rows, variant, rng=rng).direction
         assert d.shape == (3,) and np.any(d != 0.0)
         ref = np.random.default_rng(9)
-        ref.standard_normal(3 if variant == "variance" else rows.shape[0])
+        ref.standard_normal(rows.shape[0])
         np.testing.assert_array_equal(d, ref.standard_normal(3))
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
-    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    @pytest.mark.parametrize("variant", DATA_DEPENDENT)
     @pytest.mark.parametrize("sparse", [False, True])
     def test_constant_feature_gets_exactly_zero_weight(self, variant, sparse):
-        # np.var and the centered sums round a constant 3.7 to ~1e-15, not 0
+        # the centered sums round a constant 3.7 to ~1e-15, not 0
         pts = np.random.default_rng(21).standard_normal((50, 4))
         pts[:, 2] = 3.7
         data = sp.csr_matrix(pts) if sparse else pts
@@ -153,7 +140,7 @@ class TestSampleDirection:
             assert d[2] == 0.0
             assert np.all(d[[0, 1, 3]] != 0.0)
 
-    @pytest.mark.parametrize("variant", ["variance", "covariance"])
+    @pytest.mark.parametrize("variant", DATA_DEPENDENT)
     def test_csr_constant_test_sums_duplicates_and_counts_implicit_zeros(self, variant):
         # column 0 stores 1.0 + 2.0 in row 0 and 3.0 in rows 1, 2: constant;
         # column 1 stores 3.0 in rows 0, 1 and nothing in row 2: not constant;
@@ -167,15 +154,18 @@ class TestSampleDirection:
             assert d[0] == 0.0 and d[2] == 0.0
             assert d[1] != 0.0 and d[3] != 0.0
 
-    def test_csr_covariance_holds_no_copy_of_x(self):
-        # scipy's column max and min would copy X to CSC: 12 bytes per
-        # stored value, 12 MB here, against about 3 * 8n = 0.5 MB of n-vectors
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_direction_holds_no_copy_of_x(self, variant, sparse):
+        # X takes 32 MB dense and 12 MB as CSR, so any copy of it, such as
+        # the CSC one scipy's column max and min make, exceeds the bound of
+        # about 3 * 8n = 0.5 MB of n-vectors
         n, d = 20_000, 200
         mat = sp.random(n, d, density=0.25, format="csr", random_state=5)
-        data = Dataset(mat)
+        data = Dataset(mat if sparse else mat.toarray())
         tracemalloc.start()
         try:
-            sample_direction(data, "covariance", rng=0)
+            sample_direction(data, variant, rng=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -183,8 +173,9 @@ class TestSampleDirection:
 
     def test_unknown_variant(self):
         data = as_dataset([[1.0]])
-        with pytest.raises(ValueError):
-            sample_direction(data, "pca", rng=0)
+        for variant in ("pca", "variance"):
+            with pytest.raises(ValueError, match="expected one of"):
+                sample_direction(data, variant, rng=0)
 
 
 def test_projected_cost_preserved_in_expectation():
