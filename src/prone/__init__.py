@@ -37,7 +37,6 @@ from .dataset import (
 )
 from .pipeline import ProneConfig, ProneResult, prone, prone_center_cost
 from .projection import VARIANTS, ProjectionVector, project, sample_direction
-from .sampling_tree import SamplingTree
 from .seeding1d import (
     Seeding1DResult,
     SeedingStats,
@@ -55,7 +54,6 @@ __all__ = [
     "ProjectionVector",
     "ProneConfig",
     "ProneResult",
-    "SamplingTree",
     "Seeding1DResult",
     "SeedingStats",
     "SensitivityDistribution",

@@ -20,6 +20,8 @@ import numpy as np
 __all__ = [
     "as_generator",
     "check_k",
+    "check_s",
+    "check_seed",
     "check_z",
     "check_masses",
     "power_abs",
@@ -40,20 +42,43 @@ def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Gene
     return np.random.Generator(np.random.Philox(rng))
 
 
+def _check_integer(value, name: str) -> None:
+    """Raise unless ``value`` is an int or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+
+
 def check_k(k, n: int) -> None:
-    """Raise unless ``k`` is an int or numpy integer (not a bool) in [1, n]."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k={k!r} must be an integer")
+    """Raise unless ``k`` is an integer in [1, n]."""
+    _check_integer(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
+
+
+def check_s(s) -> None:
+    """Raise unless the coreset size ``s`` is an integer >= 1."""
+    _check_integer(s, "s")
+    if s < 1:
+        raise ValueError(f"s={s} must be >= 1")
+
+
+def check_seed(seed) -> None:
+    """Raise unless ``seed`` is None or a nonnegative integer."""
+    if seed is not None:
+        _check_integer(seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed={seed} must be nonnegative")
 
 
 def check_z(z):
     """Return ``z`` unchanged if it is a finite exponent >= 1, else raise.
 
     NaN and infinity would otherwise flow into the power transform and
-    surface as a nan or inf cost, or as an unrelated mass error.
+    surface as a nan or inf cost, or as an unrelated mass error; a bool
+    would run as z = 1.
     """
+    if isinstance(z, (bool, np.bool_)):
+        raise ValueError(f"z={z!r} must be a number, not a bool")
     if not (z >= 1 and math.isfinite(z)):
         raise ValueError(f"z={z} must be finite and >= 1")
     return z
@@ -65,6 +90,9 @@ def check_masses(masses, n: int, name: str) -> np.ndarray:
     That needs one finite, nonnegative entry per point and a positive
     total; anything else is rejected with ``name`` in the message.
     """
+    # the float64 cast would drop the imaginary part, with only a warning
+    if np.iscomplexobj(masses):
+        raise ValueError(f"{name} must be real, not complex")
     m = np.asarray(masses, dtype=np.float64)
     if m.shape != (n,):
         raise ValueError(f"{name} must have one entry per point")

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_generator, check_masses, check_z, inverse_cdf, padded_pairwise_sum
+from ._util import (
+    as_generator, check_masses, check_s, check_z, inverse_cdf, padded_pairwise_sum,
+)
 from .baseline import (
     ClusteringModel,
     _power_from_sq,
@@ -114,20 +116,15 @@ def lightweight_distribution(points) -> SensitivityDistribution:
     """Mean-based sampling distribution: 1/(2n) + d^2(x, mean)/(2 sum d^2).
 
     When every point equals the mean the distance term carries no mass and
-    the distribution is plain uniform.
+    the distribution is plain uniform. The distances come from the cost
+    kernel, with every point assigned to the mean, so no copy of X is made.
     """
     data = as_dataset(points)
-    mat = data.points
-    if data.is_sparse:
-        mean = np.asarray(mat.mean(axis=0)).ravel()
-        sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
-        cross = np.asarray(mat @ mean).ravel()
-        d2 = np.maximum(sq - 2.0 * cross + mean @ mean, 0.0)
-    else:
-        diff = mat - mat.mean(axis=0)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-    total = float(d2.sum())
     n = data.n
+    # scipy's CSR ``mean`` copies the stored values; its ``sum`` does not
+    mean = np.asarray(data.points.sum(axis=0)).ravel() / n
+    d2 = pointwise_assignment_costs(data, mean[None], np.zeros(n, dtype=np.intp))
+    total = float(d2.sum())
     if total > 0:
         size_share = np.full(n, 1.0 / (2.0 * n))
         cost_share = d2 / (2.0 * total)
@@ -149,8 +146,7 @@ def sample_coreset(points, dist: SensitivityDistribution, s: int, rng=None) -> W
     be relative masses: draws and weights divide by the same total.
     """
     data = as_dataset(points)
-    if s < 1:
-        raise ValueError("coreset size must be >= 1")
+    check_s(s)
     p = check_masses(dist.probabilities, data.n, "probabilities")
     rng = as_generator(rng)
     total = padded_pairwise_sum(p)

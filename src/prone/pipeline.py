@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_generator, check_k, check_z
+from ._util import as_generator, check_k, check_seed, check_z
 from .baseline import ClusteringModel, centers_of_mass, cost_with_nearest, pointwise_assignment_costs
 from .dataset import as_dataset
 from .projection import ProjectionVector, check_variant, sample_direction, project
@@ -39,6 +39,7 @@ class ProneConfig:
     def __post_init__(self) -> None:
         check_z(self.z)
         check_variant(self.variant)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ center is drawn with probability proportional to min_c |x_i - c|^z over
 the centers chosen so far.
 
 ``seed_1d_fast`` sorts the points once, keeps the powered distances in a
-:class:`~prone.sampling_tree.SamplingTree`, and after each draw repairs the
+:class:`SamplingTree` of partial sums, and after each draw repairs the
 distance array by scanning outward from the new center only while the new
 center improves a point. On sorted points the improved region is one
 contiguous interval, so a draw costs O(log n) for the tree lookup plus the
@@ -34,7 +34,8 @@ point on each side that the new center does not improve; only a side
 whose run reaches the window's edge continues with a scan in doubling
 blocks. The repair writes the masses straight into the tree's leaves,
 and the tree then gets one ``update`` over the whole written range, which
-validates the masses and recomputes their ancestors without a copy. The
+validates the masses and recomputes their ancestors. The first masses are
+written there too, and one ``update`` over all n leaves builds the tree. The
 uniforms for all k - 1 draws come from one ``rng.random(k - 1)`` call,
 which on numpy's generators yields the same values and leaves the same
 state as k - 1 scalar calls. If the run exhausts after j draws, the
@@ -71,6 +72,7 @@ first, the rule :func:`~prone.baseline.kmeanspp_seed` follows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +80,6 @@ import numpy as np
 from ._util import (
     as_generator, check_k, check_z, inverse_cdf, mass_values, padded_pairwise_sum, power_abs,
 )
-from .sampling_tree import SamplingTree
 
 __all__ = [
     "Seeding1DResult",
@@ -95,6 +96,11 @@ _WINDOW = 256
 # about that of a few hundred elements of scan work, so starting here wastes
 # at most about one call on a short run and saves doublings on a long one.
 _FIRST_BLOCK = 512
+
+# Levels of a tree update at most this many nodes wide are summed with
+# scalar memoryview adds: one numpy call costs about as much as ten of them,
+# and per-update times were flat for widths 4..14.
+_SCALAR_LEVEL_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,127 @@ class SeedingStats:
         return self.total_updates + 2 * self.draws
 
 
+class SamplingTree:
+    """Complete binary tree of partial sums over n nonnegative masses.
+
+    The masses sit at the leaves, zero-padded to a power of two, and every
+    internal node holds the sum of its two children, so ``total`` (the
+    root) is O(1) and ``find`` is O(log n). The seeder writes masses
+    straight into ``_leaves`` and then calls ``update`` over the written
+    range; until that call, ``total`` and ``find`` still read the old sums.
+    Internal sums are always recomputed from the two children rather than
+    adjusted incrementally, so the root equals the pairwise tree-order sum
+    of the current leaves bit for bit (the total
+    :func:`~prone._util.padded_pairwise_sum` gives ``seed_1d_naive``) and no
+    drift accumulates across updates.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"n={n} must be at least 1")
+        self._n = n
+        self._capacity = 1 << (n - 1).bit_length()
+        self._nodes = np.zeros(2 * self._capacity, dtype=np.float64)
+        self._leaves = self._nodes[self._capacity : self._capacity + n]
+        # scalar reads and writes through a memoryview are Python floats,
+        # several times cheaper than numpy scalar indexing, and round the same
+        self._view = memoryview(self._nodes)
+        # instrumentation: node writes performed by the latest update() call
+        self.last_update_leaf_nodes = 0
+        self.last_update_internal_nodes = 0
+
+    @property
+    def total(self) -> float:
+        """Sum of all masses (the root node)."""
+        return self._view[1]
+
+    def find(self, r: float) -> int:
+        """Return the smallest index i with prefix_sum(i) > r.
+
+        Requires 0 <= r < total and a positive total. The descent goes left
+        iff r < left-child sum; stored sums round, so it can overshoot by an
+        ulp onto a zero-mass leaf, and then steps back to the previous
+        positive leaf. A zero-mass index is never returned.
+        """
+        nodes = self._view
+        total = nodes[1]
+        if not total > 0.0:
+            raise ValueError("find() on a tree with zero total mass")
+        if not (0.0 <= r < total):
+            raise ValueError(f"r={r!r} outside [0, {total!r})")
+        idx = 1
+        cap = self._capacity
+        while idx < cap:
+            left = 2 * idx
+            ls = nodes[left]
+            if r < ls:
+                idx = left
+            else:
+                r -= ls
+                idx = left + 1
+        leaf = idx - cap
+        while nodes[cap + leaf] == 0.0:
+            leaf -= 1
+            if leaf < 0:
+                raise AssertionError("positive total but no positive leaf found")
+        return leaf
+
+    def update(self, start: int, stop: int) -> None:
+        """Re-sum the ancestors of leaves [start, stop) after a write to them.
+
+        The written masses are checked with one ``min`` and one ``max``;
+        invalid ones raise before any internal node is written, and stay in
+        ``_leaves`` with stale ancestors until a valid update of their range.
+        Each level wider than ``_SCALAR_LEVEL_WIDTH`` nodes is one numpy add;
+        the narrower levels and the single path to the root are scalar float
+        adds, which round exactly like numpy's. That touches
+        O((stop - start) + log n) nodes.
+        """
+        if not (0 <= start < stop <= self._n):
+            raise ValueError(f"range [{start}, {stop}) invalid for size {self._n}")
+        vals = self._leaves[start:stop]
+        # NaN and negatives fail the first test, +inf the second; the exact
+        # message is worked out only on failure (-0.0 passes)
+        if not (vals.min() >= 0.0 and vals.max() < math.inf):
+            if not np.isfinite(vals).all():
+                raise ValueError("masses must be finite")
+            raise ValueError("masses must be nonnegative")
+        nodes = self._nodes
+        view = self._view
+        lo = self._capacity + start
+        hi = self._capacity + stop - 1
+        self.last_update_leaf_nodes = stop - start
+        internal = 0
+        while lo < hi:
+            lo >>= 1
+            hi >>= 1
+            if hi - lo < _SCALAR_LEVEL_WIDTH:
+                for idx in range(lo, hi + 1):
+                    view[idx] = view[2 * idx] + view[2 * idx + 1]
+            else:
+                np.add(
+                    nodes[2 * lo : 2 * hi + 2 : 2],
+                    nodes[2 * lo + 1 : 2 * hi + 2 : 2],
+                    out=nodes[lo : hi + 1],
+                )
+            internal += hi - lo + 1
+        acc = view[lo]
+        internal += lo.bit_length() - 1
+        while lo > 1:
+            acc += view[lo ^ 1]
+            lo >>= 1
+            view[lo] = acc
+        self.last_update_internal_nodes = internal
+
+    def check_consistency(self) -> None:
+        """Assert every internal node equals the sum of its children (tests)."""
+        nodes = self._nodes
+        for idx in range(1, self._capacity):
+            expect = nodes[2 * idx] + nodes[2 * idx + 1]
+            if nodes[idx] != expect:
+                raise AssertionError(f"node {idx}: stored {nodes[idx]!r} != children {expect!r}")
+
+
 def _validate(points: np.ndarray, k: int, z: float) -> None:
     if points.ndim != 1 or points.size == 0:
         raise ValueError("points must be a non-empty 1-D array")
@@ -163,13 +290,13 @@ def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, xs
 
 
-def _first_masses(xm: np.ndarray, first: int, z: float) -> np.ndarray:
+def _first_masses(xm: np.ndarray, first: int, z: float, out=None) -> np.ndarray:
     """Masses |x_i - x_first|^z of every point after the first draw.
 
-    Computed in place on one n-length difference array, shared by both
-    seeders so that they start from bit-identical masses.
+    Computed in place on one n-length difference array (``out`` if given),
+    shared by both seeders so that they start from bit-identical masses.
     """
-    a = xm - xm[first]
+    a = np.subtract(xm, xm[first], out=out)
     power_abs(a, z, out=a)
     a[first] = 0.0
     return a
@@ -247,11 +374,13 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     xm = mass_values(xs, z)
 
     first = int(rng.integers(n))
-    tree = SamplingTree(_first_masses(xm, first, z))
-    # the masses live in the tree's leaves: each repair writes them once
-    # there, and ``update`` re-sums the range without copying it
-    a = tree._leaves
     label = np.zeros(n, dtype=np.int32 if k <= np.iinfo(np.int32).max else np.intp)
+    # the tree comes last, so its nodes are the newest large block, freed first
+    tree = SamplingTree(n)
+    # the masses live in the tree's leaves: the first masses and each repair
+    # are written once there, and ``update`` re-sums the written range
+    a = _first_masses(xm, first, z, out=tree._leaves)
+    tree.update(0, n)
     chosen = [first]
     writes = 0
     exhausted = False
@@ -272,7 +401,7 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
         lt = tree.find(r)
         a[lt] = 0.0
         lo, hi = _improve(xm, a, lt, z)
-        tree.update(a, lo, hi)
+        tree.update(lo, hi)
         label[lo:hi] = len(chosen)
         chosen.append(lt)
         writes += hi - lo - 1

@@ -156,6 +156,34 @@ class TestCluster:
         assert code == 0
         assert set(reached) == {"cmd_cluster", "load_dense_csv", "prone"}
 
+    @pytest.mark.parametrize("algo", ["prone", "kmeanspp", "boosted"])
+    def test_sparse_input(self, algo, tmp_path, capsys):
+        path = tmp_path / "toy.sparse"
+        path.write_text("#d 3\n0:1 2:2\n1:4\n0:1.5 2:2\n")
+        points = np.array([[1.0, 0.0, 2.0], [0.0, 4.0, 0.0], [1.5, 0.0, 2.0]])
+        prefix = tmp_path / algo
+        code = run_cli(
+            "cluster", "--input", path, "--format", "sparse", "--k", 2, "--algo", algo,
+            "--alpha", 1.0, "--seed", 4, "--output", prefix,
+        )
+        assert code == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        assert (record["n"], record["d"], record["k"]) == (3, 3, 2)
+        assert record["centers_file"] == f"{prefix}.centers.csv"
+        centers = np.loadtxt(record["centers_file"], delimiter=",", ndmin=2)
+        labels = np.loadtxt(record["labels_file"], dtype=np.intp)
+        assert centers.shape == (record["k_found"], 3)
+        assert labels.shape == (3,) and set(labels) == set(range(record["k_found"]))
+        if algo == "prone":
+            # the lift: each center is the mean of its cluster
+            for j, center in enumerate(centers):
+                np.testing.assert_allclose(center, points[labels == j].mean(axis=0))
+        else:
+            # seeded centers are data points, each the nearest to its own cluster
+            assert all((points == center).all(axis=1).any() for center in centers)
+            d2 = ((points[:, None] - centers[None]) ** 2).sum(axis=2)
+            np.testing.assert_array_equal(labels, d2.argmin(axis=1))
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
             "cluster", "--input", tmp_path / "absent.csv", "--k", 2,

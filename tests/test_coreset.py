@@ -1,6 +1,7 @@
 """Tests for sensitivity/lightweight sampling distributions, coresets, and the boosted pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from prone._util import inverse_cdf, padded_pairwise_sum
 from prone.baseline import (
+    _COST_CHUNK,
     ClusteringModel,
     cost_with_assignment,
     cost_with_nearest,
@@ -97,6 +99,27 @@ class TestLightweightDistribution:
         d2 = ((pts - mu) ** 2).sum(axis=1)
         expect = 0.5 / 30 + 0.5 * d2 / d2.sum()
         np.testing.assert_allclose(dist.probabilities, expect, rtol=1e-12)
+
+    def test_csr_matches_dense(self):
+        mat = sp.random(300, 40, density=0.1, format="csr", random_state=6)
+        dense = lightweight_distribution(mat.toarray()).probabilities
+        np.testing.assert_allclose(lightweight_distribution(mat).probabilities, dense, rtol=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_holds_no_copy_of_x(self, sparse):
+        # X takes 40 MB dense and 12 MB as CSR; the distances to the mean
+        # need a few n-vectors and one block of rows, not a centered or
+        # squared copy of X
+        n, d = 100_000, 50
+        mat = sp.random(n, d, density=0.2, format="csr", random_state=5)
+        data = as_dataset(mat if sparse else mat.toarray())
+        tracemalloc.start()
+        try:
+            lightweight_distribution(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n + 8 * _COST_CHUNK * d + 2**16
 
 
 def dist_of(probabilities):
@@ -198,6 +221,15 @@ class TestCoresetDraws:
                 with pytest.raises(ValueError, match=f"probabilities {message}"):
                     sample_coreset(line(2), dist_of(probs), s=4, rng=0)
 
+    def test_rejects_complex_masses(self):
+        # the float64 cast used to drop the imaginary part with only a warning
+        ones = np.ones(2) * (1 + 1j)
+        dist = SensitivityDistribution(ones, cost_share=ones, size_share=ones)
+        with pytest.raises(ValueError, match="^probabilities must be real, not complex$"):
+            sample_coreset(line(2), dist, s=4, rng=0)
+        with pytest.raises(ValueError, match="^weights must be real, not complex$"):
+            kmeanspp_seed(line(100), 2, weights=np.ones(100) * 1j)
+
 
 class TestSampleCoreset:
     def test_uniform_weights_are_one(self):
@@ -249,6 +281,17 @@ class TestSampleCoreset:
         dist = sensitivity_distribution(data, model)
         with pytest.raises(ValueError):
             sample_coreset(data, dist, s=0, rng=0)
+
+    def test_s_must_be_an_integer(self):
+        # these used to fail inside numpy with a TypeError
+        data, model = model_for([[0.0], [1.0]], [[0.0]])
+        dist = sensitivity_distribution(data, model)
+        for s in (2.5, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match=r"^s=.* must be an integer$"):
+                sample_coreset(data, dist, s=s, rng=0)
+        with pytest.raises(ValueError, match=r"^s=0 must be >= 1$"):
+            sample_coreset(data, dist, s=0, rng=0)
+        assert sample_coreset(data, dist, s=np.int64(3), rng=0).size == 3
 
 
 class TestBoosted:

@@ -124,10 +124,10 @@ class TestProne:
 
 
     def test_peak_memory_of_one_call(self):
-        # the seeder keeps its masses only in the tree's leaves and frees the
-        # tree before it scatters the labels, so the peak holds the
-        # projection, the sort's permutation and values, the first masses
-        # and the tree's nodes
+        # the seeder keeps its masses only in the tree's leaves, the first
+        # masses included, and frees the tree before it scatters the labels,
+        # so the seeding's peak holds the projection, the sort's permutation
+        # and values, the labels and the tree's nodes
         n = 200_000
         pts = as_dataset(np.random.default_rng(5).standard_normal((n, 16)))
         tracemalloc.start()
@@ -175,6 +175,35 @@ def test_k_must_be_an_integer(entry):
     call(pts, np.int64(3))
 
 
+def test_z_must_not_be_a_bool():
+    # z=True used to run as z = 1
+    pts = np.random.default_rng(3).standard_normal((10, 2))
+    calls = (
+        lambda z: ProneConfig(k=2, z=z),
+        lambda z: seed_1d_fast(pts[:, 0], 2, z, rng=0),
+        lambda z: kmeanspp_seed(pts, 2, z, rng=0),
+    )
+    for call in calls:
+        for z in (True, np.True_):
+            with pytest.raises(ValueError, match=r"^z=.* must be a number, not a bool$"):
+                call(z)
+
+
+@pytest.mark.parametrize("seed", [2.5, np.float64(3.0), True, "1", -1, np.int64(-1)])
+def test_config_rejects_bad_seed(seed):
+    # a float seed used to fail in SeedSequence, and -1 without naming the seed
+    with pytest.raises(ValueError, match=r"^seed=.* must be (an integer|nonnegative)$"):
+        ProneConfig(k=2, seed=seed)
+
+
+def test_config_accepts_integer_seeds():
+    pts = np.random.default_rng(3).standard_normal((10, 2))
+    want = prone(pts, ProneConfig(k=3, seed=7)).model.assignment
+    got = prone(pts, ProneConfig(k=3, seed=np.int64(7))).model.assignment
+    np.testing.assert_array_equal(got, want)
+    ProneConfig(k=3, seed=None)
+
+
 def _ancestor_count(capacity, start, stop):
     """Distinct internal nodes above leaves [start, stop) of a padded tree."""
     level = {capacity + i for i in range(start, stop)}
@@ -197,19 +226,22 @@ class TestTracedLayerNames:
             calls["find"] += 1
             return find(tree, r)
 
-        def checked_update(tree, a, start, stop):
+        data, _ = gen_gaussian_mixture(6, 300, 4, 100.0, rng=2)
+        capacity = 1 << (data.n - 1).bit_length()
+
+        def checked_update(tree, start, stop):
             calls["update"] += 1
             tree.last_update_leaf_nodes = tree.last_update_internal_nodes = -1
-            update(tree, a, start, stop)
+            update(tree, start, stop)
             assert tree.last_update_leaf_nodes == stop - start
-            assert tree.last_update_internal_nodes == _ancestor_count(tree.capacity, start, stop)
+            assert tree.last_update_internal_nodes == _ancestor_count(capacity, start, stop)
 
         monkeypatch.setattr(seeding1d.SamplingTree, "find", counted_find)
         monkeypatch.setattr(seeding1d.SamplingTree, "update", checked_update)
-        data, _ = gen_gaussian_mixture(6, 300, 4, 100.0, rng=2)
         res = prone(data, ProneConfig(k=6, seed=1))
         assert res.seeding.k_found == 6
-        assert calls == {"find": 5, "update": 5}
+        # the build is one update over all n leaves, then one per draw
+        assert calls == {"find": 5, "update": 6}
 
 
 class TestProneCenterCost:

@@ -1,5 +1,7 @@
 """Tests for 1-D seeding: worked examples, fast == naive oracle equivalence, distribution law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,20 @@ class TestInvariants:
         _, stats = seed_1d_fast(x, k=n // 4, z=2, rng=np.random.default_rng(1))
         assert stats.total_updates / (n * np.log(n)) <= 20
         assert stats.total_updates <= n * (n // 4 - 1)
+
+    def test_first_masses_are_written_into_the_tree(self):
+        # k = 1 keeps the draws' scan blocks out of the peak, so it is the
+        # build's: the order, the sorted values, the labels and the tree's
+        # nodes, with no n-length mass array beside them
+        n = 2**17
+        x = np.random.default_rng(0).standard_normal(n)
+        tracemalloc.start()
+        try:
+            seed_1d_fast(x, k=1, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + 8 + 4 + 16) * n + 2**16
 
 
 def assert_nearest_first_chosen(x, res, z):
