@@ -62,12 +62,13 @@ def check_s(s) -> None:
         raise ValueError(f"s={s} must be >= 1")
 
 
-def check_seed(seed) -> None:
-    """Raise unless ``seed`` is None or a nonnegative integer."""
+def check_seed(seed):
+    """Return ``seed`` unchanged if it is None or a nonnegative integer, else raise."""
     if seed is not None:
         _check_integer(seed, "seed")
         if seed < 0:
             raise ValueError(f"seed={seed} must be nonnegative")
+    return seed
 
 
 def check_z(z):

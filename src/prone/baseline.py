@@ -14,11 +14,13 @@ copies; the first center is drawn proportionally to weight). It consumes
 randomness exactly like the 1-D seeders: one uniform integer (unweighted
 first center), then one uniform real per subsequent center scaled by the
 current total mass, so on sorted (n, 1) input with a shared generator it
-reproduces ``seed_1d_naive`` draw for draw.
+reproduces ``seed_1d_naive`` draw for draw. Its distances come from the
+cost kernel on dense rows and from one sparse product per center on CSR.
 
 Every entry point coerces its points through :func:`prone.dataset.as_dataset`
 (a Dataset, an (n, d) array or a sparse matrix), so non-finite or non-2-D
-input is rejected the same way everywhere.
+input is rejected the same way everywhere. Every ``weights`` goes through
+``check_masses``, so bad weights raise a ``ValueError`` naming them.
 
 ``lloyd_iterate`` is plain Lloyd for z = 2 with weighted variants for
 coresets. Empty clusters are repaired by relocating the center to the
@@ -71,12 +73,6 @@ class ClusteringModel:
     @property
     def k(self) -> int:
         return int(self.centers.shape[0])
-
-
-def _row_sq_norms(mat, is_sparse) -> np.ndarray:
-    if is_sparse:
-        return np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", mat, mat)
 
 
 def _power_from_sq(d2: np.ndarray, z: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,13 +137,17 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     return assignment, pointwise_assignment_costs(data, c, assignment)
 
 
+def _weighted_total(terms: np.ndarray, weights) -> float:
+    """Sum of ``terms``, each times its weight when ``weights`` is given."""
+    if weights is not None:
+        terms = terms * check_masses(weights, terms.size, "weights")
+    return float(np.sum(terms))
+
+
 def cost_with_nearest(points, centers, z: float = 2.0, weights=None) -> float:
     """Sum of powered distances to each point's nearest center (O(ndk))."""
     _, d2 = nearest_assignment(points, centers)
-    terms = _power_from_sq(d2, z)
-    if weights is not None:
-        terms = terms * np.asarray(weights, dtype=np.float64)
-    return float(np.sum(terms))
+    return _weighted_total(_power_from_sq(d2, z), weights)
 
 
 def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> np.ndarray:
@@ -188,7 +188,7 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
             rows = np.repeat(np.arange(hi - lo), np.diff(block.indptr))
             prods = block.data * c[s[rows], block.indices]
             cross = np.bincount(rows, weights=prods, minlength=hi - lo)
-            xn = _row_sq_norms(block, sparse)
+            xn = np.asarray(block.multiply(block).sum(axis=1)).ravel()
             d2[lo:hi] = np.maximum(xn - 2.0 * cross + cn[s], 0.0)
         else:
             diff = buf[: hi - lo]
@@ -202,19 +202,16 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
 
 def cost_with_assignment(points, centers, assignment, z: float = 2.0, weights=None) -> float:
     """Cost of a fixed assignment: sum of powered distances to assigned centers."""
-    terms = pointwise_assignment_costs(points, centers, assignment, z)
-    if weights is not None:
-        terms = terms * np.asarray(weights, dtype=np.float64)
-    return float(np.sum(terms))
+    return _weighted_total(pointwise_assignment_costs(points, centers, assignment, z), weights)
 
 
-def _sq_dists_to(mat, sparse, xn, center) -> np.ndarray:
-    """Squared distances of all points to one center."""
-    if sparse:
-        cross = np.asarray(mat @ center).ravel()
-        return np.maximum(xn - 2.0 * cross + center @ center, 0.0)
-    diff = mat - center
-    return np.einsum("ij,ij->i", diff, diff)
+def _sq_dists_to(data, i: int, one: np.ndarray, xn: np.ndarray | None) -> np.ndarray:
+    """Squared distances of all points to point ``i``; ``one`` assigns each to center 0."""
+    if not data.is_sparse:
+        return pointwise_assignment_costs(data, data.rows([i]), one)
+    # the kernel's gather of one center entry per stored value is far slower
+    c = data.rows(i)
+    return np.maximum(xn - 2.0 * np.asarray(data.points @ c).ravel() + c @ c, 0.0)
 
 
 def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> ClusteringModel:
@@ -225,20 +222,21 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     with fewer centers if the remaining mass is exhausted.
     """
     data = as_dataset(points)
-    mat, sparse = data.points, data.is_sparse
     n = data.n
     check_k(k, n)
     check_z(z)
     w = None if weights is None else check_masses(weights, n, "weights")
     rng = as_generator(rng)
-    xn = _row_sq_norms(mat, sparse)
+    one = np.zeros(n, dtype=np.intp)
+    # squared row norms: the kernel's distances to the origin
+    xn = pointwise_assignment_costs(data, np.zeros((1, data.d)), one) if data.is_sparse else None
 
     if w is None:
         first = int(rng.integers(n))
     else:
         first = int(inverse_cdf(w, rng.random() * padded_pairwise_sum(w)))
 
-    d2 = _sq_dists_to(mat, sparse, xn, data.rows(first))
+    d2 = _sq_dists_to(data, first, one, xn)
     assignment = np.zeros(n, dtype=np.intp)
     chosen = [first]
 
@@ -250,19 +248,16 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
         if not total > 0.0:
             break
         idx = int(inverse_cdf(masses, rng.random() * total))
-        nd2 = _sq_dists_to(mat, sparse, xn, data.rows(idx))
+        nd2 = _sq_dists_to(data, idx, one, xn)
         closer = nd2 < d2
         d2[closer] = nd2[closer]
         assignment[closer] = t
         chosen.append(idx)
 
-    terms = _power_from_sq(d2, z)
-    if w is not None:
-        terms = terms * w
     return ClusteringModel(
         centers=data.rows(chosen),
         assignment=assignment,
-        cost=float(terms.sum()),
+        cost=_weighted_total(_power_from_sq(d2, z), w),
         z=z,
     )
 
@@ -288,7 +283,7 @@ def centers_of_mass(
         raise ValueError("k must be >= 1")
     if sigma.size and (sigma.min() < 0 or sigma.max() >= k):
         raise ValueError("assignment references a cluster outside [0, k)")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.ones(n) if weights is None else check_masses(weights, n, "weights")
     # unweighted, the counts are these sums without adding n ones
     wsum = np.bincount(sigma, weights=None if weights is None else w, minlength=k)
     # one-hot with one stored entry per point, so each sum adds its
@@ -331,17 +326,17 @@ def lloyd_iterate(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     points = as_dataset(points)  # once, not on every pass
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    w = None if weights is None else check_masses(weights, points.n, "weights")
     centers = np.array(model.centers, dtype=np.float64)
     k = centers.shape[0]
     assignment, d2 = nearest_assignment(points, centers)
-    cost = float(np.sum(d2 if w is None else d2 * w))
+    cost = _weighted_total(d2, w)
     if cost_trace is not None:
         cost_trace.append(cost)
     for _ in range(max_iters):
         centers, _ = centers_of_mass(points, assignment, k, weights=w)
         assignment, d2 = nearest_assignment(points, centers)
-        new_cost = float(np.sum(d2 if w is None else d2 * w))
+        new_cost = _weighted_total(d2, w)
         if cost_trace is not None:
             cost_trace.append(new_cost)
         if cost > 0 and (cost - new_cost) / cost < tol:

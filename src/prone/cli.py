@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._util import check_z
+from ._util import check_seed, check_z
 from .baseline import ClusteringModel, cost_with_nearest, kmeanspp_seed, lloyd_iterate
 from .coreset import (
     boosted_prone,
@@ -82,11 +82,14 @@ def _cell_rng(seed: int, k: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _z_exponent(text: str) -> float:
-    try:
-        return check_z(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(check, convert):
+    """argparse type: ``check(convert(text))``, whose ValueError is a usage error."""
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -386,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("csv", "sparse"), default="csv")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--z", type=_z_exponent, default=2.0)
+    p.add_argument("--z", type=_checked(check_z, float), default=2.0)
     p.add_argument("--algo", choices=ALGORITHMS, default="prone")
     p.add_argument("--alpha", type=float, default=None, help="coreset fraction (boosted)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(check_seed, int), default=0)
     p.add_argument("--assign-nearest", action="store_true",
                    help="also report the O(ndk) nearest-center cost")
     p.add_argument("--stats", action="store_true",
@@ -402,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True,
                    help=f"builtin name {BUILTIN_DATASETS} or a CSV path")
     p.add_argument("--ks", default="10", help="comma-separated k values")
-    p.add_argument("--z", type=_z_exponent, default=2.0)
+    p.add_argument("--z", type=_checked(check_z, float), default=2.0)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(check_seed, int), default=0)
     p.add_argument("--sizes", default="0.001,0.0025,0.005,0.01,0.025,0.05,0.1",
                    help="relative coreset sizes (coreset suite)")
     p.add_argument("--alphas", default="0.001,0.01,0.1",
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p.add_subparsers(dest="kind", required=True)
     pa = gen_sub.add_parser("gaussian-adversarial", help="mirrored clusters + tiny origin cluster")
     pa.add_argument("--m", type=_positive_int, required=True, help="points per cluster")
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=_checked(check_seed, int), default=0)
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=cmd_gen)
     pm = gen_sub.add_parser("mixture", help="uniform-center Gaussian mixture")
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--per-cluster", type=_positive_int, required=True)
     pm.add_argument("--d", type=_positive_int, required=True)
     pm.add_argument("--separation", type=float, required=True)
-    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--seed", type=_checked(check_seed, int), default=0)
     pm.add_argument("--out", required=True)
     pm.set_defaults(func=cmd_gen)
 

@@ -54,27 +54,27 @@ class Dataset:
     __slots__ = ("_mat", "is_sparse")
 
     def __init__(self, mat) -> None:
-        # the float64 cast would drop the imaginary part, with only a warning
-        if np.iscomplexobj(mat):
+        self.is_sparse = sp.issparse(mat)
+        mat = mat if self.is_sparse else np.asarray(mat)
+        # the float64 cast would drop imaginary parts, parse strings and call __float__
+        if mat.dtype.kind == "c":
             raise ValueError("points must be real, not complex")
-        if sp.issparse(mat):
+        if mat.dtype.kind not in "biuf":
+            raise ValueError(f"points must be numeric, not dtype {mat.dtype}")
+        if self.is_sparse:
             m = mat.tocsr().astype(np.float64)
             # canonical: sorted indices, each (row, column) stored at most once
             m.sum_duplicates()
-            if not np.isfinite(m.data).all():
-                raise ValueError("points must be finite")
-            self._mat = m
-            self.is_sparse = True
+            values = m.data
         else:
             # a view, so that freezing it leaves a caller's own array writeable
-            m = np.ascontiguousarray(mat, dtype=np.float64).view()
+            m = values = np.ascontiguousarray(mat, dtype=np.float64).view()
             if m.ndim != 2:
                 raise ValueError("expected a 2-D array of points")
-            if not np.isfinite(m).all():
-                raise ValueError("points must be finite")
             m.setflags(write=False)
-            self._mat = m
-            self.is_sparse = False
+        if not np.isfinite(values).all():
+            raise ValueError("points must be finite")
+        self._mat = m
         if self.n < 1 or self.d < 1:
             raise ValueError("dataset must have n >= 1 points and d >= 1 dimensions")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prone import baseline
-from prone._util import padded_pairwise_sum
+from prone._util import inverse_cdf, padded_pairwise_sum
 from prone.baseline import (
     _COST_CHUNK,
     ClusteringModel,
@@ -114,6 +114,50 @@ def expanded_form_nearest_assignment(mat, centers, chunk=None):
     return assignment, d2
 
 
+def full_pass_kmeanspp_seed(mat, k, z, rng, w=None):
+    """Reference k-means++: every center's distances from one pass over all of X at once.
+
+    Dense rows subtract the center from the whole matrix; CSR rows take
+    their norms from X squared elementwise, then one product per center.
+    """
+    n = mat.shape[0]
+    sparse = sp.issparse(mat)
+    if sparse:
+        xn = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
+
+    def sq_dists_to(i):
+        if sparse:
+            c = mat[i].toarray().ravel()
+            return np.maximum(xn - 2.0 * np.asarray(mat @ c).ravel() + c @ c, 0.0)
+        diff = mat - mat[i]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    def power(d2):
+        p = np.maximum(d2, 0.0)
+        return p if z == 2 else np.sqrt(p) if z == 1 else p ** (z / 2.0)
+
+    if w is None:
+        first = int(rng.integers(n))
+    else:
+        first = int(inverse_cdf(w, rng.random() * padded_pairwise_sum(w)))
+    d2 = sq_dists_to(first)
+    assignment = np.zeros(n, dtype=np.intp)
+    chosen = [first]
+    for t in range(1, k):
+        masses = power(d2) if w is None else w * power(d2)
+        total = padded_pairwise_sum(masses)
+        if not total > 0.0:
+            break
+        idx = int(inverse_cdf(masses, rng.random() * total))
+        nd2 = sq_dists_to(idx)
+        closer = nd2 < d2
+        d2[closer] = nd2[closer]
+        assignment[closer] = t
+        chosen.append(idx)
+    terms = power(d2) if w is None else power(d2) * w
+    return chosen, assignment, float(terms.sum())
+
+
 def _lift_instance(seed, n, sparse):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
@@ -159,6 +203,20 @@ class TestBitIdenticalToReferences:
         got = pointwise_assignment_costs(mat, centers, sigma, z)
         np.testing.assert_array_equal(got, per_cluster_assignment_costs(mat, centers, sigma, z))
 
+    @pytest.mark.parametrize("n", [1, 37, 2 * _COST_CHUNK + 37])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_kmeanspp_seed(self, n, sparse, z, weighted):
+        mat, _, _, rng = _lift_instance(n + 3, n, sparse)
+        w = rng.random(n) * 4.0 if weighted else None
+        k = min(n, 12)
+        got = kmeanspp_seed(mat, k, z, np.random.default_rng(n), weights=w)
+        chosen, assignment, cost = full_pass_kmeanspp_seed(mat, k, z, np.random.default_rng(n), w)
+        want_centers = mat[chosen].toarray() if sparse else mat[chosen]
+        np.testing.assert_array_equal(got.centers, want_centers)
+        np.testing.assert_array_equal(got.assignment, assignment)
+        assert got.cost == cost
 
     # k = 512 puts the default block at 256 rows; n straddles its edges
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * 256 + 1])
@@ -309,6 +367,26 @@ class TestCosts:
 
 
 class TestKmeansppSeed:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_peak_memory_holds_no_copy_of_x(self, sparse):
+        # a few n-length arrays (distances, labels, masses and their prefix
+        # sums) plus one block of the cost kernel; no n x d difference array
+        # (dense) and no elementwise square of X (CSR)
+        n, d = 100_000, 32
+        rng = np.random.default_rng(3)
+        if sparse:
+            mat = sp.random(n, d, density=0.3, format="csr", random_state=3)
+        else:
+            mat = rng.standard_normal((n, d))
+        data = as_dataset(mat)
+        tracemalloc.start()
+        try:
+            kmeanspp_seed(data, 5, 2.0, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n + 8 * _COST_CHUNK * d + 2**16
+
     @pytest.mark.parametrize("z", [1.0, 2.0])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_dense_and_csr_identical(self, z, weighted):
@@ -463,6 +541,36 @@ class TestPointsCoercion:
         lloyd_iterate(pts, model, max_iters=5)
         # one coercion of the raw array; every pass after it gets the Dataset back
         assert sum(c is pts for c in calls) == 1
+
+
+_BAD_WEIGHTS = {
+    "scalar": 2.0,
+    "length-1": [1.0],
+    "wrong-length": np.ones(4),
+    "negative": [1.0, -1.0, 1.0],
+    "nan": [1.0, np.nan, 1.0],
+    "complex": np.ones(3) + 0j,
+    "all-zero": np.zeros(3),
+}
+
+_WEIGHTED_CALLS = {
+    "cost_with_nearest": lambda pts, w: cost_with_nearest(pts, pts[:2], 2.0, weights=w),
+    "cost_with_assignment": lambda pts, w: cost_with_assignment(
+        pts, pts[:2], np.array([0, 1, 1]), 2.0, weights=w
+    ),
+    "centers_of_mass": lambda pts, w: centers_of_mass(pts, np.array([0, 1, 1]), 2, weights=w),
+    "lloyd_iterate": lambda pts, w: lloyd_iterate(
+        pts, ClusteringModel(pts[:2], None, 0.0, 2.0), weights=w
+    ),
+}
+
+
+@pytest.mark.parametrize("weights", _BAD_WEIGHTS.values(), ids=_BAD_WEIGHTS.keys())
+@pytest.mark.parametrize("call", _WEIGHTED_CALLS.values(), ids=_WEIGHTED_CALLS.keys())
+def test_bad_weights_rejected(call, weights):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
+    with pytest.raises(ValueError, match="^weights "):
+        call(pts, weights)
 
 
 class TestCentersOfMass:

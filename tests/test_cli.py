@@ -343,3 +343,22 @@ class TestBench:
             "--ks", "2", "--reps", 1, "--out", tmp_path / "x.jsonl",
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("cluster", "--input", "x.csv", "--k", 2, "--output", "o"),
+        ("bench", "--suite", "direct", "--dataset", "x.csv", "--out", "o.jsonl"),
+        ("gen", "gaussian-adversarial", "--m", 2, "--out", "g.csv"),
+        ("gen", "mixture", "--k", 2, "--per-cluster", 2, "--d", 2, "--separation", 1,
+         "--out", "g.csv"),
+    ],
+    ids=["cluster", "bench", "gen-adversarial", "gen-mixture"],
+)
+def test_negative_seed_usage_error_names_the_seed(command, capsys):
+    # rejected while parsing, before any file is read or written
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--seed", -1)
+    assert exc.value.code == 2
+    assert "argument --seed: seed=-1 must be nonnegative" in capsys.readouterr().err

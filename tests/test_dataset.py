@@ -1,8 +1,10 @@
 """Tests for the data model, file formats, and synthetic generators."""
 
 import math
+import re
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -36,6 +38,39 @@ class TestDataset:
         # the float64 cast would drop the imaginary part with only a warning
         with pytest.raises(ValueError, match="complex"):
             Dataset(layout(np.ones((3, 2)) + 1j))
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            # the float64 cast would parse strings and accept any object with
+            # __float__; None would surface as "points must be finite"
+            (np.array([["1", "2"]]), "<U1"),
+            (np.array([[b"1", b"2"]]), "|S1"),
+            (np.array([[Decimal(1), Decimal(2)]], dtype=object), "object"),
+            (np.array([[1, None]], dtype=object), "object"),
+            (np.zeros((1, 2), dtype="V8"), "|V8"),
+            ([["1", "2"]], "<U1"),
+        ],
+        ids=["str", "bytes", "decimal", "none", "void", "str-list"],
+    )
+    def test_rejects_non_numeric_dense(self, values, dtype):
+        message = f"points must be numeric, not dtype {re.escape(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            as_dataset(values)
+
+    @pytest.mark.parametrize("dtype", [object, "S3"])
+    def test_rejects_non_numeric_csr(self, dtype):
+        # scipy will not build such a matrix, but its stored values can be swapped in
+        mat = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        mat.data = mat.data.astype(dtype)
+        with pytest.raises(ValueError, match="points must be numeric, not dtype"):
+            as_dataset(mat)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float32])
+    @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
+    def test_accepts_real_numeric_dtypes(self, dtype, layout):
+        data = as_dataset(layout(np.array([[1, 0], [0, 1]], dtype=dtype)))
+        np.testing.assert_array_equal(data.to_dense(), np.eye(2))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
