@@ -287,8 +287,12 @@ def centers_of_mass(
     # unweighted, the counts are these sums without adding n ones
     wsum = np.bincount(sigma, weights=None if weights is None else w, minlength=k)
     # one-hot with one stored entry per point, so each sum adds its
-    # cluster's points in input order, dense or sparse
-    onehot = sp.csc_matrix((w, sigma, np.arange(n + 1)), shape=(k, n))
+    # cluster's points in input order, dense or sparse; its index arrays
+    # come in the dtype scipy picks for this shape, so it copies neither
+    idx = np.int32 if max(n, k) <= np.iinfo(np.int32).max else np.int64
+    onehot = sp.csc_matrix(
+        (w, sigma.astype(idx, copy=False), np.arange(n + 1, dtype=idx)), shape=(k, n)
+    )
     sums = onehot @ mat
     if sparse:
         sums = sums.toarray()

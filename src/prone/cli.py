@@ -92,11 +92,13 @@ def _checked(check, convert):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
+def _check_positive(value: int) -> int:
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise ValueError(f"must be a positive integer, got {value}")
     return value
+
+
+_positive_int = _checked(_check_positive, int)
 
 
 # --- the algorithm table ----------------------------------------------
@@ -195,6 +197,16 @@ def _record(head: dict, run: Run) -> dict:
 
 # --- cluster -----------------------------------------------------------
 
+# labels formatted per write; the text of one chunk is held at a time
+_LABELS_PER_WRITE = 8192
+
+
+def _write_labels(labels: np.ndarray, path: str) -> None:
+    """Write one label per line, ``_LABELS_PER_WRITE`` labels per ``write``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, labels.size, _LABELS_PER_WRITE):
+            fh.write("\n".join(map(str, labels[lo : lo + _LABELS_PER_WRITE].tolist())) + "\n")
+
 
 def cmd_cluster(args) -> int:
     data, load_s = _timed(_load_dataset, args.input, args.format)
@@ -207,8 +219,7 @@ def cmd_cluster(args) -> int:
     centers_path = f"{args.output}.centers.csv"
     labels_path = f"{args.output}.labels.txt"
     write_dense_csv(Dataset(np.atleast_2d(run.centers)), centers_path)
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(map(str, run.labels.tolist())) + "\n")
+    _write_labels(run.labels, labels_path)
     record = _record({
         "command": "cluster", "algorithm": args.algo, "input": args.input,
         "n": data.n, "d": data.d, "k": args.k, "z": args.z, "seed": args.seed,
@@ -406,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"builtin name {BUILTIN_DATASETS} or a CSV path")
     p.add_argument("--ks", default="10", help="comma-separated k values")
     p.add_argument("--z", type=_checked(check_z, float), default=2.0)
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=_checked(check_seed, int), default=0)
     p.add_argument("--sizes", default="0.001,0.0025,0.005,0.01,0.025,0.05,0.1",
                    help="relative coreset sizes (coreset suite)")
     p.add_argument("--alphas", default="0.001,0.01,0.1",
                    help="coreset fractions (boosted suite)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="JSON-lines output path")
     p.set_defaults(func=cmd_bench)
 

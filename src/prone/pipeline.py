@@ -83,10 +83,10 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
 
     t0 = time.perf_counter()
     vec = sample_direction(data, cfg.variant, gen)
-    projected = project(data, vec)
-    t1 = time.perf_counter()
-    seeding, stats = seed_1d_fast(projected, cfg.k, cfg.z, gen)
-    t2 = time.perf_counter()
+    stamps: list[float] = []
+    # no name here holds the projection, so the seeder can free it
+    seeding, stats = seed_1d_fast(_project_stamped(data, vec, stamps), cfg.k, cfg.z, gen)
+    t1, t2 = stamps[0], time.perf_counter()
     centers, _ = centers_of_mass(data, seeding.assignment, seeding.k_found)
     t3 = time.perf_counter()
     point_costs = pointwise_assignment_costs(data, centers, seeding.assignment, cfg.z)
@@ -106,6 +106,13 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
         model=model, projection=vec, seeding=seeding, seeding_stats=stats, timings=timings
     )
     return result, point_costs
+
+
+def _project_stamped(data, vec: ProjectionVector, stamps: list) -> np.ndarray:
+    """``project(data, vec)``, appending the time it finished to ``stamps``."""
+    projected = project(data, vec)
+    stamps.append(time.perf_counter())
+    return projected
 
 
 def prone_center_cost(data, result: ProneResult) -> float:

@@ -280,12 +280,16 @@ def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (order, xs_in[order]) with ``order`` the stable argsort.
 
     Runs the faster default argsort and falls back to a stable one only if
-    the sorted values contain a tie (-0.0 and 0.0 count as one).
+    the sorted values contain a tie (-0.0 and 0.0 count as one). ``order``
+    is int32 when n < 2^31, half the size of the sort's own permutation,
+    and is cast before the gather, so the sort's permutation is freed
+    before the sorted values are allocated.
     """
-    order = np.argsort(xs_in)
+    index = np.int32 if xs_in.size <= np.iinfo(np.int32).max else np.intp
+    order = np.argsort(xs_in).astype(index, copy=False)
     xs = xs_in[order]
     if (xs[1:] == xs[:-1]).any():
-        order = np.argsort(xs_in, kind="stable")
+        order = np.argsort(xs_in, kind="stable").astype(index, copy=False)
         xs = xs_in[order]
     return order, xs
 
@@ -343,19 +347,19 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
     n = xs.size
     block = _FIRST_BLOCK
     while 0 <= i < n:
-        if step > 0:
-            part = slice(i, min(i + block, n))
-        else:
-            part = slice(max(i - block, -1) + 1, i + 1)
-        # both reversed when walking left, so index 0 is nearest the center
-        vals = xs[part][::step] - c
+        lo, hi = (i, min(i + block, n)) if step > 0 else (max(i - block + 1, 0), i + 1)
+        # the arithmetic runs on forward views, never negative strides; only
+        # the search for the first point not improved starts at the center
+        vals = xs[lo:hi] - c
         power_abs(vals, z, out=vals)
-        seg = a[part][::step]  # a view: writes land in ``a``
+        seg = a[lo:hi]  # a view: writes land in ``a``
         improve = vals < seg
-        run = int(np.argmin(improve))  # first point not improved, 0 if all are
-        if improve[run]:
+        toward = improve[::step]  # index 0 is nearest the center
+        run = int(np.argmin(toward))  # first point not improved, 0 if all are
+        if toward[run]:
             run = improve.size
-        seg[:run] = vals[:run]
+        part = slice(0, run) if step > 0 else slice(improve.size - run, None)
+        seg[part] = vals[part]
         i += step * run
         if run < improve.size:
             break
@@ -371,6 +375,10 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     n = xs_in.size
 
     order, xs = _sort(xs_in)
+    # on CPython >= 3.11 a call hands its arguments to the callee, so an
+    # input the caller built in the call expression is freed here, before
+    # the tree is allocated
+    del points, xs_in
     xm = mass_values(xs, z)
 
     first = int(rng.integers(n))
@@ -412,7 +420,7 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     assignment = np.empty(n, dtype=np.intp)
     assignment[order] = label
     result = Seeding1DResult(
-        center_indices=order[chosen_arr],
+        center_indices=order[chosen_arr].astype(np.intp),
         center_values=xs[chosen_arr],
         assignment=assignment,
         exhausted=exhausted,
@@ -455,7 +463,7 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
     assignment = np.empty(n, dtype=np.intp)
     assignment[order] = np.argmin(power_abs(xm[:, None] - xm[chosen_arr], z), axis=1)
     return Seeding1DResult(
-        center_indices=order[chosen_arr],
+        center_indices=order[chosen_arr].astype(np.intp),
         center_values=xs[chosen_arr],
         assignment=assignment,
         exhausted=exhausted,

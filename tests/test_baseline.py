@@ -613,6 +613,22 @@ class TestCentersOfMass:
                     assert cost_with_assignment(data, moved, labels, z=2) > base
 
 
+    def test_peak_memory_holds_no_index_copies(self):
+        # the one-hot's n ones and its two int32 index arrays, which scipy
+        # takes as given; int64 ones would be copied to int32 on top
+        n, k, d = 200_000, 50, 16
+        rng = np.random.default_rng(7)
+        pts = as_dataset(rng.standard_normal((n, d)))
+        sigma = rng.integers(k, size=n)
+        tracemalloc.start()
+        try:
+            centers_of_mass(pts, sigma, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 4 * (2 * n + 1) + 2**17
+
+
 class TestLloyd:
     def test_hand_example(self):
         data = as_dataset([[0.0], [2.0], [10.0]])

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,40 @@ class TestCluster:
         assert code == 2
 
 
+class TestLabelsFile:
+    def test_one_line_per_point_as_one_join_would_write(self, tmp_path, capsys):
+        # k > 256 gives labels outside CPython's small-int cache, and
+        # n = 18 000 is not a multiple of the chunk the writer formats
+        data, _ = gen_gaussian_mixture(300, 60, 2, 100.0, rng=3)
+        path = tmp_path / "mix.csv"
+        write_dense_csv(data, path)
+        code = run_cli("cluster", "--input", path, "--k", 300, "--seed", 4,
+                       "--output", tmp_path / "o")
+        assert code == 0
+        labels = ALGORITHMS["prone"](data, 300, 2.0, prone.cli._cell_rng(4, 300, 0)).labels
+        assert labels.max() > 256
+        expect = "\n".join(map(str, labels.tolist())) + "\n"
+        assert (tmp_path / "o.labels.txt").read_bytes() == expect.encode()
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 20_000])
+    def test_chunks_join_to_one_text(self, tmp_path, n):
+        labels = np.arange(n) % 977
+        prone.cli._write_labels(labels, tmp_path / "l.txt")
+        expect = "\n".join(map(str, labels.tolist())) + "\n"
+        assert (tmp_path / "l.txt").read_bytes() == expect.encode()
+
+    def test_writer_holds_one_chunk_of_text(self, tmp_path):
+        # one string per label for all 1e6 labels would take over 50 MB
+        labels = np.arange(1_000_000) % 1000
+        tracemalloc.start()
+        try:
+            prone.cli._write_labels(labels, tmp_path / "l.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestGen:
     def test_adversarial_row_count(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
@@ -362,3 +397,31 @@ def test_negative_seed_usage_error_names_the_seed(command, capsys):
         run_cli(*command, "--seed", -1)
     assert exc.value.code == 2
     assert "argument --seed: seed=-1 must be nonnegative" in capsys.readouterr().err
+
+
+_MIXTURE = ("gen", "mixture", "--separation", 1, "--out", "g.csv")
+_BENCH = ("bench", "--suite", "direct", "--dataset", "x.csv", "--out", "o.jsonl")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (("cluster", "--input", "x.csv", "--output", "o"), "--k"),
+        (_MIXTURE + ("--per-cluster", 2, "--d", 2), "--k"),
+        (_MIXTURE + ("--k", 2, "--d", 2), "--per-cluster"),
+        (_MIXTURE + ("--k", 2, "--per-cluster", 2), "--d"),
+        (("gen", "gaussian-adversarial", "--out", "g.csv"), "--m"),
+        (_BENCH, "--reps"),
+        (_BENCH, "--jobs"),
+    ],
+    ids=["cluster-k", "mixture-k", "per-cluster", "d", "m", "reps", "jobs"],
+)
+def test_count_options_reject_non_positive_values(command, option, value, capsys):
+    # rejected while parsing, before any file is read or written
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, option, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and value in err
+    assert "_positive_int" not in err

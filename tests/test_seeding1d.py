@@ -162,8 +162,8 @@ class TestInvariants:
 
     def test_first_masses_are_written_into_the_tree(self):
         # k = 1 keeps the draws' scan blocks out of the peak, so it is the
-        # build's: the order, the sorted values, the labels and the tree's
-        # nodes, with no n-length mass array beside them
+        # build's: the sorted values, the int32 order, the labels and the
+        # tree's nodes, with no n-length mass array beside them
         n = 2**17
         x = np.random.default_rng(0).standard_normal(n)
         tracemalloc.start()
@@ -172,7 +172,16 @@ class TestInvariants:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (8 + 8 + 4 + 16) * n + 2**16
+        assert peak <= (8 + 4 + 4 + 16) * n + 2**16
+
+    @pytest.mark.parametrize("seeder", [seed_1d_fast, seed_1d_naive])
+    def test_center_indices_are_intp(self, seeder):
+        # the sort's order is int32, but the reported indices keep numpy's
+        # index dtype
+        res = seeder(np.random.default_rng(2).standard_normal(300), k=5, rng=4)
+        res = res[0] if isinstance(res, tuple) else res
+        assert res.center_indices.dtype == np.intp
+        assert res.assignment.dtype == np.intp
 
 
 def assert_nearest_first_chosen(x, res, z):
