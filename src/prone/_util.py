@@ -9,11 +9,14 @@ bit-identical, so the power transform and the total live here and are
 shared by everything that samples proportionally to powered distances.
 Every such draw, and the coreset's batch of draws, maps its scaled uniform
 to an index through the one rule in :func:`inverse_cdf`.
+
+Every timed stage, in the library and the CLI, is a lap of one :class:`StageClock`.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -23,11 +26,13 @@ __all__ = [
     "check_s",
     "check_seed",
     "check_z",
+    "check_fraction",
     "check_masses",
     "power_abs",
     "mass_values",
     "padded_pairwise_sum",
     "inverse_cdf",
+    "StageClock",
 ]
 
 
@@ -85,6 +90,13 @@ def check_z(z):
     return z
 
 
+def check_fraction(value, name: str):
+    """Return ``value`` unchanged if it is finite and > 0, else raise."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name}={value} must be finite and positive")
+    return value
+
+
 def check_masses(masses, n: int, name: str) -> np.ndarray:
     """Return ``masses`` as float64 if a draw proportional to it is defined.
 
@@ -124,24 +136,38 @@ def power_abs(diff: np.ndarray, z: float, out: np.ndarray | None = None) -> np.n
 
 
 # Values of magnitude below 2^e have powered distances below 2^(z (e + 1)).
-# While |z e| stays within this band, masses, their totals and the ratios
-# between them stay far from float64's overflow and subnormal ranges.
+# While |z e| stays within this band, the values' scale alone keeps the
+# masses of a moderate z far from float64's overflow and subnormal ranges.
 _MASS_EXPONENT_BAND = 256
+# n masses of at most span^z, and so their total, stay below 2^this: two
+# bits under float64's largest exponent, for the rounding of the powers.
+_MAX_TOTAL_EXPONENT = 1022
 
 
 def mass_values(xs: np.ndarray, z: float) -> np.ndarray:
-    """Sorted values ``xs`` to compute masses on: as given, or times 2^-e.
+    """Sorted values ``xs`` to compute masses on: as given, or scaled down or up.
 
     e is the exponent of the largest magnitude, read from the two ends in
-    O(1); only values whose |z e| leaves the band are scaled. Scaling by a
-    power of two is exact away from the subnormal range, so for z in {1, 2}
-    every mass, total and comparison scales exactly and every draw is the
-    one the unscaled values would make if no mass over- or underflowed.
+    O(1); values whose |z e| leaves the band are scaled by 2^-e. Scaling by
+    a power of two is exact away from the subnormal range, so for z in
+    {1, 2} every mass, total and comparison scales exactly and every draw
+    is the one the unscaled values would make if no mass over- or
+    underflowed. The largest mass is span^z, up to 2^(z (e + 1)); only when
+    n of them could overflow, which needs z above 700, are the values
+    scaled down further, by just enough. Each power then rounds anyway,
+    and a mass more than 2^2096 below the largest possible one is 0.
     """
     e = math.frexp(max(abs(xs[0]), abs(xs[-1])))[1]
-    if abs(z * e) <= _MASS_EXPONENT_BAND:
-        return xs
-    return np.ldexp(xs, -e)
+    shift = e if abs(z * e) > _MASS_EXPONENT_BAND else 0
+    span = math.ldexp(xs[-1], -shift) - math.ldexp(xs[0], -shift)
+    excess = 0.0
+    if span > 0:
+        excess = (z * math.log2(span) + math.log2(xs.size) - _MAX_TOTAL_EXPONENT) / z
+    if shift:
+        xs = np.ldexp(xs, -shift)
+    if excess > 0:
+        xs = xs * 2.0**-excess
+    return xs
 
 
 def padded_pairwise_sum(a: np.ndarray) -> float:
@@ -180,3 +206,27 @@ def inverse_cdf(masses: np.ndarray, r):
     if np.any(idx == prefix.size):
         idx = np.minimum(idx, np.flatnonzero(masses)[-1])
     return idx
+
+
+class StageClock:
+    """Seconds per stage, each stage timed from the end of the one before.
+
+    ``lap(name, value)`` records the seconds since the last lap (or since the
+    clock was made) under ``name`` and returns ``value``, so a stage can be
+    timed inside the expression that uses its result; the clock keeps only
+    times. ``timings`` holds the laps in order.
+    """
+
+    def __init__(self) -> None:
+        self.timings: dict[str, float] = {}
+        self._start = self._last = time.perf_counter()
+
+    def lap(self, name: str, value=None):
+        now = time.perf_counter()
+        self.timings[name] = now - self._last
+        self._last = now
+        return value
+
+    def elapsed(self) -> float:
+        """Seconds since the clock was made."""
+        return time.perf_counter() - self._start

@@ -27,14 +27,13 @@ import json
 import math
 import multiprocessing
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from ._util import check_seed, check_z
+from ._util import StageClock, check_fraction, check_seed, check_z
 from .baseline import ClusteringModel, cost_with_nearest, kmeanspp_seed, lloyd_iterate
 from .coreset import (
     boosted_prone,
@@ -51,6 +50,7 @@ from .dataset import (
     write_dense_csv,
 )
 from .pipeline import ProneConfig, prone
+from .seeding1d import SeedingStats
 
 SUITES = ("direct", "coreset", "boosted")
 BUILTIN_DATASETS = ("gaussian-small", "gaussian-large", "gaussian-adversarial")
@@ -101,6 +101,14 @@ def _check_positive(value: int) -> int:
 _positive_int = _checked(_check_positive, int)
 
 
+def _checked_list(check, convert):
+    """argparse type: a comma-separated list, ``check(convert(entry))`` per entry."""
+    return _checked(
+        lambda values: [check(v) for v in values],
+        lambda text: [convert(v) for v in text.split(",") if v],
+    )
+
+
 # --- the algorithm table ----------------------------------------------
 
 
@@ -112,56 +120,39 @@ class Run:
     whole algorithm call up to the centers, without any full-data
     nearest-center pass; the other entries are the library's own stage
     names, or ``construct`` and ``train`` in the coreset suite.
-    ``cost_nearest`` is set only when the run got it for free.
+    ``cost_nearest`` is set only when the run got it for free, and ``stats``
+    only for runs that seed in 1-D (a boosted run's come from its prone stage).
     """
 
     centers: np.ndarray
     labels: np.ndarray | None
-    k_found: int
-    exhausted: bool
     timings: dict
     cost_assignment: float | None = None
     cost_nearest: float | None = None
-    total_updates: int | None = None
-    # the seeding's own count: a boosted run's k_found is the coreset model's
-    comparisons: int | None = None
-
-
-def _timed(fn, *args, **kwargs):
-    """Return (fn(*args, **kwargs), seconds it took)."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
+    stats: SeedingStats | None = None
 
 
 def _prone_run(data, k, z, rng, alpha=None, variant="standard") -> Run:
-    res, seconds = _timed(prone, data, ProneConfig(k=k, z=z, variant=variant), rng=rng)
-    return Run(
-        res.model.centers, res.model.assignment, res.seeding.k_found, res.exhausted,
-        {**res.timings, "call": seconds}, cost_assignment=res.model.cost,
-        total_updates=res.seeding_stats.total_updates,
-        comparisons=res.seeding_stats.comparisons,
-    )
+    clock = StageClock()
+    res = clock.lap("call", prone(data, ProneConfig(k=k, z=z, variant=variant), rng=rng))
+    return Run(res.model.centers, res.model.assignment, {**res.timings, **clock.timings},
+               res.model.cost, stats=res.seeding_stats)
 
 
 def _kmeanspp_run(data, k, z, rng, alpha=None) -> Run:
-    model, seconds = _timed(kmeanspp_seed, data, k, z, rng)
-    return Run(model.centers, model.assignment, model.k, model.k < k, {"call": seconds},
-               cost_assignment=model.cost, cost_nearest=model.cost)
+    clock = StageClock()
+    model = clock.lap("call", kmeanspp_seed(data, k, z, rng))
+    return Run(model.centers, model.assignment, clock.timings, model.cost, model.cost)
 
 
 def _boosted_run(data, k, z, rng, alpha=None) -> Run:
     if alpha is None:
         raise ValueError("--alpha is required for --algo boosted")
-    boosted, seconds = _timed(boosted_prone, data, k, z, alpha, rng)
-    model, evaluate_s = _timed(boosted.evaluate, data)
-    stats = boosted.prone_result.seeding_stats
-    return Run(
-        model.centers, model.assignment, model.k, model.k < k,
-        {**boosted.timings, "call": seconds, "evaluate": evaluate_s},
-        cost_assignment=model.cost, cost_nearest=model.cost,
-        total_updates=stats.total_updates, comparisons=stats.comparisons,
-    )
+    clock = StageClock()
+    boosted = clock.lap("call", boosted_prone(data, k, z, alpha, rng))
+    model = clock.lap("evaluate", boosted.evaluate(data))
+    return Run(model.centers, model.assignment, {**boosted.timings, **clock.timings},
+               model.cost, model.cost, boosted.prone_result.seeding_stats)
 
 
 # name -> fn(data, k, z, rng, alpha) -> Run. The entries look ``prone``,
@@ -184,13 +175,14 @@ def _with_nearest(run: Run, data, z: float) -> Run:
 
 def _record(head: dict, run: Run) -> dict:
     """One cluster or bench record: ``head``, then the fields taken from the run."""
+    k_found = len(run.centers)  # every algorithm returns one center per center found
     return {
         **head,
         "cost_assignment": run.cost_assignment,
         "cost_nearest": run.cost_nearest,
-        "k_found": run.k_found,
-        "exhausted": run.exhausted,
-        "total_updates": run.total_updates,
+        "k_found": k_found,
+        "exhausted": k_found < head["k"],
+        "total_updates": None if run.stats is None else run.stats.total_updates,
         "wall_time_ms": {stage: 1e3 * s for stage, s in run.timings.items()},
     }
 
@@ -209,12 +201,12 @@ def _write_labels(labels: np.ndarray, path: str) -> None:
 
 
 def cmd_cluster(args) -> int:
-    data, load_s = _timed(_load_dataset, args.input, args.format)
-    t0 = time.perf_counter()
+    clock = StageClock()
+    data = clock.lap("load", _load_dataset(args.input, args.format))
     run = ALGORITHMS[args.algo](data, args.k, args.z, _cell_rng(args.seed, args.k, 0), args.alpha)
     if args.assign_nearest:
         _with_nearest(run, data, args.z)
-    run.timings.update(load=load_s, total=load_s + time.perf_counter() - t0)
+    run.timings.update(clock.timings, total=clock.elapsed())
 
     centers_path = f"{args.output}.centers.csv"
     labels_path = f"{args.output}.labels.txt"
@@ -226,7 +218,8 @@ def cmd_cluster(args) -> int:
         "alpha": args.alpha,
     }, run)
     if args.stats:
-        record["stats"] = {"total_updates": run.total_updates, "comparisons": run.comparisons}
+        comparisons = None if run.stats is None else run.stats.comparisons
+        record["stats"] = {"total_updates": record["total_updates"], "comparisons": comparisons}
     record["centers_file"] = centers_path
     record["labels_file"] = labels_path
     print(json.dumps(record))
@@ -251,16 +244,16 @@ def _fit(points, k: int, z: float, rng, weights=None) -> ClusteringModel:
 
 def _coreset_cell(data, k, z, rng, task):
     # paired baseline: plain seeding plus refinement on the full data
-    model, seconds = _timed(_fit, data, k, z, rng())
-    yield "kmeanspp", Run(model.centers, model.assignment, model.k, model.k < k,
-                          {"call": seconds}), {}
+    clock = StageClock()
+    model = clock.lap("call", _fit(data, k, z, rng()))
+    yield "kmeanspp", Run(model.centers, model.assignment, clock.timings), {}
     for construction in ("sensitivity", "prone", "lightweight"):
         for rel in task["rel_sizes"]:
             s = math.ceil(rel * data.n)
             if s < k:
                 continue  # not enough coreset points to seed k centers
             gen = rng()
-            t0 = time.perf_counter()
+            clock = StageClock()
             if construction == "lightweight":
                 dist = lightweight_distribution(data)
             else:
@@ -269,12 +262,9 @@ def _coreset_cell(data, k, z, rng, task):
                 dist = sensitivity_distribution(
                     data, ClusteringModel(base.centers, base.labels, base.cost_assignment, z)
                 )
-            coreset = sample_coreset(data, dist, s, gen)
-            t1 = time.perf_counter()
-            model = _fit(coreset.points, k, z, gen, coreset.weights)
-            t2 = time.perf_counter()
-            timings = {"construct": t1 - t0, "train": t2 - t1, "call": t2 - t0}
-            run = Run(model.centers, None, model.k, model.k < k, timings)
+            coreset = clock.lap("construct", sample_coreset(data, dist, s, gen))
+            model = clock.lap("train", _fit(coreset.points, k, z, gen, coreset.weights))
+            run = Run(model.centers, None, {**clock.timings, "call": clock.elapsed()})
             yield construction, run, {"rel_size": rel}
 
 
@@ -336,15 +326,12 @@ def _summarize(records: list[dict], path: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    ks = [int(v) for v in args.ks.split(",") if v]
-    rel_sizes = [float(v) for v in args.sizes.split(",") if v]
-    alphas = [float(v) for v in args.alphas.split(",") if v]
     tasks = [
         {
             "suite": args.suite, "dataset": args.dataset, "k": k, "rep": rep,
-            "seed": args.seed, "z": args.z, "rel_sizes": rel_sizes, "alphas": alphas,
+            "seed": args.seed, "z": args.z, "rel_sizes": args.sizes, "alphas": args.alphas,
         }
-        for k in ks
+        for k in args.ks
         for rep in range(args.reps)
     ]
     records: list[dict] = []
@@ -415,14 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--dataset", required=True,
                    help=f"builtin name {BUILTIN_DATASETS} or a CSV path")
-    p.add_argument("--ks", default="10", help="comma-separated k values")
+    p.add_argument("--ks", type=_checked_list(_check_positive, int), default="10",
+                   help="comma-separated k values")
     p.add_argument("--z", type=_checked(check_z, float), default=2.0)
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=_checked(check_seed, int), default=0)
-    p.add_argument("--sizes", default="0.001,0.0025,0.005,0.01,0.025,0.05,0.1",
+    p.add_argument("--sizes", type=_checked_list(partial(check_fraction, name="rel_size"), float),
+                   default="0.001,0.0025,0.005,0.01,0.025,0.05,0.1",
                    help="relative coreset sizes (coreset suite)")
-    p.add_argument("--alphas", default="0.001,0.01,0.1",
-                   help="coreset fractions (boosted suite)")
+    p.add_argument("--alphas", type=_checked_list(partial(check_fraction, name="alpha"), float),
+                   default="0.001,0.01,0.1", help="coreset fractions (boosted suite)")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="JSON-lines output path")
     p.set_defaults(func=cmd_bench)

@@ -31,13 +31,13 @@ and often unneeded.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import (
-    as_generator, check_masses, check_s, check_z, inverse_cdf, padded_pairwise_sum,
+    StageClock, as_generator, check_fraction, check_masses, check_s, check_z, inverse_cdf,
+    padded_pairwise_sum,
 )
 from .baseline import (
     ClusteringModel,
@@ -206,8 +206,7 @@ def boosted_prone(
     generator.
     """
     check_z(z)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha={alpha} must be finite and positive")
+    check_fraction(alpha, "alpha")
     data = as_dataset(data)
     s = math.ceil(alpha * data.n)
     if s < k:
@@ -216,18 +215,12 @@ def boosted_prone(
             f"cannot seed k={k} centers"
         )
     rng = as_generator(rng)
-    t0 = time.perf_counter()
-    base, point_costs = _prone(data, ProneConfig(k=k, z=z), rng=rng)
-    t1 = time.perf_counter()
+    clock = StageClock()
+    base, point_costs = clock.lap("prone", _prone(data, ProneConfig(k=k, z=z), rng=rng))
     dist = _sensitivity_from_costs(point_costs, base.model.assignment, base.model.k)
     del point_costs
-    coreset = sample_coreset(data, dist, s, rng)
-    t2 = time.perf_counter()
-    seeded = kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)
-    t3 = time.perf_counter()
-    timings = {
-        "prone": t1 - t0,
-        "coreset": t2 - t1,
-        "weighted_seed": t3 - t2,
-    }
-    return BoostedResult(model=seeded, prone_result=base, coreset=coreset, timings=timings)
+    coreset = clock.lap("coreset", sample_coreset(data, dist, s, rng))
+    seeded = clock.lap(
+        "weighted_seed", kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)
+    )
+    return BoostedResult(model=seeded, prone_result=base, coreset=coreset, timings=clock.timings)

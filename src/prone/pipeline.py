@@ -9,16 +9,20 @@ classical nearest-center cost is a separate, more expensive evaluation
 
 Everything is deterministic in (data, config): the config's seed drives a
 single counter-based stream used for the direction and then the seeding.
+
+``ProneResult.timings`` holds the seconds of each stage: ``project`` (the
+direction and ``X @ v``), ``seed``, ``lift`` and ``assign`` (the per-point
+costs and their sum). They are laps of one :class:`~prone._util.StageClock`,
+so they tile the call from the direction's draw to the cost.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_generator, check_k, check_seed, check_z
+from ._util import StageClock, as_generator, check_k, check_seed, check_z
 from .baseline import ClusteringModel, centers_of_mass, cost_with_nearest, pointwise_assignment_costs
 from .dataset import as_dataset
 from .projection import ProjectionVector, check_variant, sample_direction, project
@@ -81,38 +85,24 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
     check_k(cfg.k, data.n)
     gen = as_generator(rng) if rng is not None else as_generator(cfg.seed)
 
-    t0 = time.perf_counter()
+    clock = StageClock()
     vec = sample_direction(data, cfg.variant, gen)
-    stamps: list[float] = []
-    # no name here holds the projection, so the seeder can free it
-    seeding, stats = seed_1d_fast(_project_stamped(data, vec, stamps), cfg.k, cfg.z, gen)
-    t1, t2 = stamps[0], time.perf_counter()
-    centers, _ = centers_of_mass(data, seeding.assignment, seeding.k_found)
-    t3 = time.perf_counter()
+    # neither a name here nor the clock holds the projection, so the seeder can free it
+    seeding, stats = clock.lap(
+        "seed", seed_1d_fast(clock.lap("project", project(data, vec)), cfg.k, cfg.z, gen)
+    )
+    centers, _ = clock.lap("lift", centers_of_mass(data, seeding.assignment, seeding.k_found))
     point_costs = pointwise_assignment_costs(data, centers, seeding.assignment, cfg.z)
     cost = float(np.sum(point_costs))
-    t4 = time.perf_counter()
+    clock.lap("assign")
 
     model = ClusteringModel(
         centers=centers, assignment=seeding.assignment, cost=cost, z=cfg.z
     )
-    timings = {
-        "project": t1 - t0,
-        "seed": t2 - t1,
-        "lift": t3 - t2,
-        "assign": t4 - t3,
-    }
     result = ProneResult(
-        model=model, projection=vec, seeding=seeding, seeding_stats=stats, timings=timings
+        model=model, projection=vec, seeding=seeding, seeding_stats=stats, timings=clock.timings
     )
     return result, point_costs
-
-
-def _project_stamped(data, vec: ProjectionVector, stamps: list) -> np.ndarray:
-    """``project(data, vec)``, appending the time it finished to ``stamps``."""
-    projected = project(data, vec)
-    stamps.append(time.perf_counter())
-    return projected
 
 
 def prone_center_cost(data, result: ProneResult) -> float:

@@ -297,6 +297,19 @@ class TestBench:
         constructions = {r["algorithm"] for r in records}
         assert constructions == {"kmeanspp", "sensitivity", "prone", "lightweight"}
 
+    def test_coreset_stages_tile_the_call(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        code = run_cli(
+            "bench", "--suite", "coreset", "--dataset", toy_csv,
+            "--ks", "4", "--reps", 1, "--seed", 0, "--sizes", "0.25", "--out", out,
+        )
+        assert code == 0
+        coreset_runs = [r["wall_time_ms"] for r in read_jsonl(out) if r["rel_size"] is not None]
+        assert len(coreset_runs) == 3
+        for ms in coreset_runs:
+            assert list(ms) == ["construct", "train", "call"]
+            assert ms["construct"] + ms["train"] <= ms["call"]
+
     def test_boosted_suite_runs(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "b.jsonl"
         code = run_cli(
@@ -414,8 +427,9 @@ _BENCH = ("bench", "--suite", "direct", "--dataset", "x.csv", "--out", "o.jsonl"
         (("gen", "gaussian-adversarial", "--out", "g.csv"), "--m"),
         (_BENCH, "--reps"),
         (_BENCH, "--jobs"),
+        (_BENCH, "--ks"),
     ],
-    ids=["cluster-k", "mixture-k", "per-cluster", "d", "m", "reps", "jobs"],
+    ids=["cluster-k", "mixture-k", "per-cluster", "d", "m", "reps", "jobs", "ks"],
 )
 def test_count_options_reject_non_positive_values(command, option, value, capsys):
     # rejected while parsing, before any file is read or written
@@ -425,3 +439,31 @@ def test_count_options_reject_non_positive_values(command, option, value, capsys
     err = capsys.readouterr().err
     assert f"argument {option}: " in err and value in err
     assert "_positive_int" not in err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--ks", "4,0", "must be a positive integer, got 0"),
+        ("--ks", "4,2.5", "invalid literal for int()"),
+        ("--sizes", "-0.1", "rel_size=-0.1 must be finite and positive"),
+        ("--sizes", "0.25,0", "rel_size=0.0 must be finite and positive"),
+        ("--alphas", "-0.5", "alpha=-0.5 must be finite and positive"),
+        ("--alphas", "inf", "alpha=inf must be finite and positive"),
+        ("--alphas", "0.5,nan", "alpha=nan must be finite and positive"),
+        ("--alphas", "x", "could not convert string to float"),
+    ],
+)
+def test_list_options_reject_bad_entries(option, value, message, capsys):
+    # rejected while parsing, before any file is read or written
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_BENCH, option, value)
+    assert exc.value.code == 2
+    assert f"argument {option}: {message}" in capsys.readouterr().err
+
+
+def test_list_options_parse_to_lists():
+    args = prone.cli.build_parser().parse_args(
+        [*map(str, _BENCH), "--ks", "3,,7", "--sizes", "0.5", "--alphas", "1e-3,2"]
+    )
+    assert (args.ks, args.sizes, args.alphas) == ([3, 7], [0.5], [0.001, 2.0])

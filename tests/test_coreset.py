@@ -392,3 +392,9 @@ class TestBoosted:
         data, _ = gen_gaussian_mixture(3, 60, 4, 50.0, rng=5)
         res = boosted_prone(data, k=3, z=2, alpha=0.5, rng=2)
         assert {"prone", "coreset", "weighted_seed"} <= set(res.timings)
+
+    def test_prone_stage_covers_prones_own_stages(self):
+        data, _ = gen_gaussian_mixture(3, 60, 4, 50.0, rng=5)
+        res = boosted_prone(data, k=3, z=2, alpha=0.5, rng=2)
+        assert list(res.timings) == ["prone", "coreset", "weighted_seed"]
+        assert res.timings["prone"] >= sum(res.prone_result.timings.values())

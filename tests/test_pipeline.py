@@ -3,12 +3,14 @@
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from prone import pipeline, seeding1d
+from prone._util import StageClock
 from prone.baseline import cost_with_nearest, kmeanspp_seed
 from prone.dataset import as_dataset, gen_gaussian_mixture
 from prone.pipeline import ProneConfig, ProneResult, prone, prone_center_cost
@@ -85,7 +87,7 @@ class TestProne:
     def test_timings_cover_phases(self):
         data, _ = gen_gaussian_mixture(3, 20, 4, 100.0, rng=1)
         res = prone(data, ProneConfig(k=3, seed=2))
-        assert set(res.timings) >= {"project", "seed", "lift", "assign"}
+        assert list(res.timings) == ["project", "seed", "lift", "assign"]
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(23)
@@ -286,3 +288,21 @@ class TestProneCenterCost:
         assert prone_center_cost(data, res) == pytest.approx(
             cost_with_nearest(data, res.model.centers, 2.0), rel=1e-12
         )
+
+
+class TestStageClock:
+    def test_laps_tile_the_elapsed_time(self):
+        clock = StageClock()
+        for name in ("b", "a", "c"):
+            clock.lap(name)
+        assert list(clock.timings) == ["b", "a", "c"]
+        assert all(s >= 0 for s in clock.timings.values())
+        assert sum(clock.timings.values()) <= clock.elapsed()
+
+    def test_lap_returns_its_value_and_keeps_no_reference(self):
+        clock = StageClock()
+        values = clock.lap("make", np.ones(16))
+        ref = weakref.ref(values)
+        assert clock.lap("same", values) is values
+        del values
+        assert ref() is None

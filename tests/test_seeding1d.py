@@ -470,6 +470,48 @@ class TestScaleInvariance:
         np.testing.assert_array_equal(got.center_values, np.ldexp(want.center_values, j))
 
 
+@st.composite
+def large_z_instances(draw):
+    """(xs, k, z): up to 60 uniform or grid values times 2^m, and z up to 1e4."""
+    n = draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xs = gen.uniform(-1.0, 1.0, n)
+    else:
+        xs = gen.integers(-4, 5, n).astype(np.float64)
+    xs = np.ldexp(xs, draw(st.integers(-40, 40)))
+    z = draw(st.one_of(st.sampled_from([700.0, 1000.0, 1500.0, 2000.0, 1e4]), st.floats(1.0, 1e4)))
+    return xs, draw(st.integers(1, n)), z
+
+
+class TestLargeZ:
+    """The largest mass is span^z; values are scaled down when n of them could overflow."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_points_at_z_2000(self, seed):
+        got, _ = seed_1d_fast([-0.9, 0.9, 0.1], 3, 2000.0, rng=seed)
+        want = seed_1d_naive([-0.9, 0.9, 0.1], 3, 2000.0, rng=seed)
+        np.testing.assert_array_equal(got.center_indices, want.center_indices)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+
+    @settings(max_examples=300, deadline=None)
+    @given(large_z_instances(), st.integers(0, 2**32 - 1))
+    def test_fast_equals_naive_without_error(self, case, seed):
+        xs, k, z = case
+        got, _ = seed_1d_fast(xs, k, z, rng=seed)
+        want = seed_1d_naive(xs, k, z, rng=seed)
+        np.testing.assert_array_equal(got.center_indices, want.center_indices)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        assert got.exhausted == want.exhausted
+
+    def test_no_rescaling_where_no_mass_can_overflow(self):
+        # 50 * 1.8^1000 is far below float64's largest value, so z = 1000
+        # seeds on the values as given and finds all three centers
+        xs = np.random.default_rng(0).uniform(-0.9, 0.9, 50)
+        runs = [seed_1d_fast(xs, 3, 1000.0, rng=seed)[0] for seed in range(20)]
+        assert not any(res.exhausted for res in runs)
+
+
 def test_power_abs_square_matches_abs_square_bitwise():
     d = np.array(
         [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-160, 1e-170, 1e200, -1e200, 3.5, -3.5, -1.0, 7e153]
