@@ -18,7 +18,6 @@ from .baseline import (
 )
 from .coreset import (
     BoostedResult,
-    SensitivityDistribution,
     WeightedCoreset,
     boosted_prone,
     lightweight_distribution,
@@ -36,7 +35,7 @@ from .dataset import (
     write_dense_csv,
 )
 from .pipeline import ProneConfig, ProneResult, prone, prone_center_cost
-from .projection import VARIANTS, ProjectionVector, project, sample_direction
+from .projection import VARIANTS, project, sample_direction
 from .seeding1d import (
     Seeding1DResult,
     SeedingStats,
@@ -51,12 +50,10 @@ __all__ = [
     "ClusteringModel",
     "Dataset",
     "DatasetFormatError",
-    "ProjectionVector",
     "ProneConfig",
     "ProneResult",
     "Seeding1DResult",
     "SeedingStats",
-    "SensitivityDistribution",
     "VARIANTS",
     "WeightedCoreset",
     "as_dataset",

@@ -3,10 +3,13 @@
 Costs use Euclidean distances raised to the power z >= 1. Two evaluation
 modes exist: against a fixed assignment, which is O(nnz + kd) and is the
 primary reported cost, and against the nearest center, which is the
-classical O(ndk) objective. ``nearest_assignment`` works through blocks of
-about 128k / k rows, so each block x k distance array is about 1 MiB and
-stays in cache, and it expands distances about one origin per call (the
-mean of the centers), so labels do not depend on where the data sit.
+classical O(ndk) objective. Both kernels work through blocks of 2**16 / w
+rows, where w is the number of values a row holds: d for dense rows and
+ceil(nnz / n) for CSR, and at least k in ``nearest_assignment``, whose
+block holds k distances per row. So a block's temporaries hold about 2**16
+values each, whatever n, d and k are. ``nearest_assignment`` expands
+distances about one origin per call (the mean of the centers), so labels
+do not depend on where the data sit.
 
 ``kmeanspp_seed`` is the standard powered-distance seeding, optionally
 weighted (a weighted point set behaves like the multiset with that many
@@ -48,12 +51,6 @@ __all__ = [
     "centers_of_mass",
     "lloyd_iterate",
 ]
-
-# most rows per nearest_assignment block
-_CHUNK = 65536
-# rows per block of pointwise_assignment_costs; small, so the (rows, d)
-# block buffer adds little to the caller's data
-_COST_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,10 +94,14 @@ def _check_centers(centers) -> np.ndarray:
     return c
 
 
-def _assignment_block_rows(k: int) -> int:
-    """Rows per block of :func:`nearest_assignment` against ``k`` centers."""
-    # a rows x k distance block of ~1 MiB, which stays in L2 cache
-    return max(256, min(_CHUNK, 131_072 // k))
+def _block_rows(width: int) -> int:
+    """Rows per kernel block when each row holds ``width`` values: 2**16 values in all."""
+    return max(1, 2**16 // max(width, 1))
+
+
+def _row_width(data) -> int:
+    """Values stored per row: d for dense rows, ceil(nnz / n) for CSR."""
+    return -(-data.nnz // data.n)
 
 
 def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +120,7 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     n, k = data.n, c.shape[0]
     if c.shape[1] != data.d:
         raise ValueError("dimension mismatch between points and centers")
-    chunk = _assignment_block_rows(k)
+    chunk = _block_rows(max(k, _row_width(data)))
     origin = c.mean(axis=0)
     shifted = c - origin
     # scaling by -2 is exact, so folding it into the centers rounds nothing
@@ -153,10 +154,10 @@ def cost_with_nearest(points, centers, z: float = 2.0, weights=None) -> float:
 def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> np.ndarray:
     """Powered distance of each point to its assigned center, O(nnz + kd).
 
-    Works through fixed blocks of rows, pairing each row with its own
-    center, so temporaries stay O(block * d) and no n x k distance matrix
-    is ever formed; the clamp and the power are applied in place on the
-    returned array.
+    Works through blocks of about 2**16 stored values, pairing each row
+    with its own center, so temporaries stay O(2**16) and no n x k distance
+    matrix is ever formed; the clamp and the power are applied in place on
+    the returned array.
 
     Sparse rows use the expanded form ||x||^2 - 2 x.c + ||c||^2, which
     loses all precision far from the origin: on
@@ -175,13 +176,14 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
     if sigma.size and (sigma.min() < 0 or sigma.max() >= c.shape[0]):
         raise ValueError("assignment references a center outside [0, k)")
     d2 = np.empty(n, dtype=np.float64)
+    chunk = _block_rows(_row_width(data))
     if sparse:
         cn = np.einsum("ij,ij->i", c, c)
     else:
         # one block buffer per call: each block's centers, then its differences
-        buf = np.empty((min(n, _COST_CHUNK), c.shape[1]), dtype=np.float64)
-    for lo in range(0, n, _COST_CHUNK):
-        hi = min(n, lo + _COST_CHUNK)
+        buf = np.empty((min(n, chunk), c.shape[1]), dtype=np.float64)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
         block, s = mat[lo:hi], sigma[lo:hi]
         if sparse:
             # per-row dot with its own center, summed in stored order

@@ -13,7 +13,8 @@ Every algorithm is one entry of ``ALGORITHMS``, which ``cluster`` and all
 three bench suites run through. Benchmark runs with the same (k, rep)
 start from the same derived seed so that cost ratios and speedups are
 paired, and ``cluster --seed S --k K`` starts from bench's (K, rep 0) seed,
-so it reproduces that cell. --jobs N runs cells in parallel processes.
+so it reproduces that cell. Every command reads its input file afresh,
+once. --jobs N runs cells in parallel processes.
 Nothing pins the BLAS thread count, so each cell's matrix products may use
 several threads, and parallel cells compete for the same cores; compare
 wall-clock times only between runs with the same --jobs on the same host.
@@ -29,7 +30,7 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +69,6 @@ def _load_builtin(name: str) -> Dataset:
     raise ValueError(f"unknown dataset {name!r}; builtins are {BUILTIN_DATASETS}")
 
 
-@lru_cache(maxsize=4)
 def _load_dataset(name: str, fmt: str = "csv") -> Dataset:
     if name in BUILTIN_DATASETS:
         return _load_builtin(name)
@@ -101,11 +101,17 @@ def _check_positive(value: int) -> int:
 _positive_int = _checked(_check_positive, int)
 
 
+def _nonempty(entry: str) -> str:
+    if not entry:
+        raise ValueError("empty list entry")
+    return entry
+
+
 def _checked_list(check, convert):
     """argparse type: a comma-separated list, ``check(convert(entry))`` per entry."""
     return _checked(
         lambda values: [check(v) for v in values],
-        lambda text: [convert(v) for v in text.split(",") if v],
+        lambda text: [convert(_nonempty(v)) for v in text.split(",")],
     )
 
 
@@ -280,9 +286,8 @@ def _boosted_cell(data, k, z, rng, task):
 _CELLS = {"direct": _direct_cell, "coreset": _coreset_cell, "boosted": _boosted_cell}
 
 
-def _run_cell(task: dict) -> list[dict]:
+def _run_cell(task: dict, data: Dataset) -> list[dict]:
     """All records of one (k, rep) cell; every run starts from the cell's seed."""
-    data = _load_dataset(task["dataset"])
     k, z, seed, rep = task["k"], task["z"], task["seed"], task["rep"]
     runs = _CELLS[task["suite"]](data, k, z, lambda: _cell_rng(seed, k, rep), task)
     return [
@@ -335,15 +340,18 @@ def cmd_bench(args) -> int:
         for rep in range(args.reps)
     ]
     records: list[dict] = []
+    # read once per run, here: every cell gets this copy, and a bad file
+    # is a usage error before any worker starts
+    data = _load_dataset(args.dataset)
     if args.jobs > 1:
         # spawned, not forked: forking a process whose BLAS threads run can deadlock
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-            for cell in pool.map(_run_cell, tasks):
+            for cell in pool.map(partial(_run_cell, data=data), tasks):
                 records.extend(cell)
     else:
         for task in tasks:
-            records.extend(_run_cell(task))
+            records.extend(_run_cell(task, data))
     for rec in records:
         for field_name in ("cost_assignment", "cost_nearest"):
             val = rec[field_name]
@@ -389,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--z", type=_checked(check_z, float), default=2.0)
     p.add_argument("--algo", choices=ALGORITHMS, default="prone")
-    p.add_argument("--alpha", type=float, default=None, help="coreset fraction (boosted)")
+    p.add_argument("--alpha", type=_checked(partial(check_fraction, name="alpha"), float),
+                   default=None, help="coreset fraction (boosted)")
     p.add_argument("--seed", type=_checked(check_seed, int), default=0)
     p.add_argument("--assign-nearest", action="store_true",
                    help="also report the O(ndk) nearest-center cost")

@@ -4,7 +4,8 @@ A coreset here is s i.i.d. draws from a per-point probability vector, each
 sampled point carrying weight 1/(s * p_i) so that weighted sums are
 unbiased estimates of full-data sums (in particular clustering costs).
 
-Two distributions are provided:
+Two distributions are provided, each returned as a plain length-n float64
+probability vector, which is what ``sample_coreset`` takes:
 
 * sensitivity: p_i proportional to cost_i / total_cost + 1 / |cluster(i)|
   for an existing clustering (the two terms sum to 1 + k' analytically, so
@@ -20,12 +21,12 @@ distribution, samples a coreset of ceil(alpha * n) points, and runs
 weighted powered-distance seeding on it, giving k-means++-quality centers
 in roughly projected-seeding time. It reads the full data three times,
 all inside prone: the projection, the lift (centers of mass) and the
-per-point assignment costs. The sensitivity step reuses that cost vector
-rather than recomputing it, and everything after it touches only the
-sampled rows. The full-data assignment is left to the caller
-(:meth:`BoostedResult.evaluate`, one O(ndk) nearest-center pass plus one
-O(nd) pass for the winners' distances), since it is the expensive part
-and often unneeded.
+per-point assignment costs. The sensitivity step writes its
+probabilities over that cost vector rather than recomputing it, and
+everything after it touches only the sampled rows. The full-data
+assignment is left to the caller (:meth:`BoostedResult.evaluate`, one
+O(ndk) nearest-center pass plus one O(nd) pass for the winners'
+distances), since it is the expensive part and often unneeded.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .dataset import as_dataset
 from .pipeline import ProneConfig, ProneResult, _prone
 
 __all__ = [
-    "SensitivityDistribution",
     "WeightedCoreset",
     "sensitivity_distribution",
     "lightweight_distribution",
@@ -58,15 +58,6 @@ __all__ = [
     "BoostedResult",
     "boosted_prone",
 ]
-
-
-@dataclass(frozen=True)
-class SensitivityDistribution:
-    """Per-point sampling probabilities and the two terms they came from."""
-
-    probabilities: np.ndarray
-    cost_share: np.ndarray
-    size_share: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,8 +73,8 @@ class WeightedCoreset:
         return int(self.weights.size)
 
 
-def sensitivity_distribution(points, model: ClusteringModel) -> SensitivityDistribution:
-    """Sampling distribution from a clustering: cost share plus size share.
+def sensitivity_distribution(points, model: ClusteringModel) -> np.ndarray:
+    """Sampling probabilities from a clustering: cost share plus size share.
 
     With per-point costs c_i and cluster sizes |X_j|, the unnormalized mass
     is c_i / sum(c) + 1 / |X_{sigma(i)}| (the first term vanishes when the
@@ -98,26 +89,31 @@ def sensitivity_distribution(points, model: ClusteringModel) -> SensitivityDistr
     return _sensitivity_from_costs(costs, sigma, model.k)
 
 
-def _sensitivity_from_costs(costs: np.ndarray, sigma: np.ndarray, k: int) -> SensitivityDistribution:
-    """:func:`sensitivity_distribution` from each point's cost under ``sigma``."""
+def _sensitivity_from_costs(costs: np.ndarray, sigma: np.ndarray, k: int) -> np.ndarray:
+    """:func:`sensitivity_distribution` from each point's cost under ``sigma``.
+
+    The probabilities are written over ``costs``, which is returned.
+    """
     total = float(costs.sum())
     sizes = np.bincount(sigma, minlength=k)
     k_nonempty = int((sizes > 0).sum())
-    cost_share = costs / total if total > 0 else np.zeros_like(costs)
-    size_share = 1.0 / sizes[sigma]
-    normalizer = (1.0 if total > 0 else 0.0) + k_nonempty
-    probs = (cost_share + size_share) / normalizer
-    return SensitivityDistribution(
-        probabilities=probs, cost_share=cost_share, size_share=size_share
-    )
+    if total > 0:
+        costs /= total
+    else:
+        costs.fill(0.0)
+    # indexed first: ``1.0 / sizes`` would divide by an empty cluster's 0
+    costs += 1.0 / sizes[sigma]
+    costs /= (1.0 if total > 0 else 0.0) + k_nonempty
+    return costs
 
 
-def lightweight_distribution(points) -> SensitivityDistribution:
-    """Mean-based sampling distribution: 1/(2n) + d^2(x, mean)/(2 sum d^2).
+def lightweight_distribution(points) -> np.ndarray:
+    """Mean-based sampling probabilities: 1/(2n) + d^2(x, mean)/(2 sum d^2).
 
     When every point equals the mean the distance term carries no mass and
     the distribution is plain uniform. The distances come from the cost
-    kernel, with every point assigned to the mean, so no copy of X is made.
+    kernel, with every point assigned to the mean, so no copy of X is made,
+    and the probabilities are written over them.
     """
     data = as_dataset(points)
     n = data.n
@@ -126,19 +122,15 @@ def lightweight_distribution(points) -> SensitivityDistribution:
     d2 = pointwise_assignment_costs(data, mean[None], np.zeros(n, dtype=np.intp))
     total = float(d2.sum())
     if total > 0:
-        size_share = np.full(n, 1.0 / (2.0 * n))
-        cost_share = d2 / (2.0 * total)
+        d2 /= 2.0 * total
+        d2 += 1.0 / (2.0 * n)
     else:
-        size_share = np.full(n, 1.0 / n)
-        cost_share = np.zeros(n)
-    probs = size_share + cost_share
-    return SensitivityDistribution(
-        probabilities=probs, cost_share=cost_share, size_share=size_share
-    )
+        d2.fill(1.0 / n)
+    return d2
 
 
-def sample_coreset(points, dist: SensitivityDistribution, s: int, rng=None) -> WeightedCoreset:
-    """Draw s points i.i.d. from ``dist``; weight each by 1/(s * p_i).
+def sample_coreset(points, probabilities, s: int, rng=None) -> WeightedCoreset:
+    """Draw s points i.i.d. from ``probabilities``; weight each by 1/(s * p_i).
 
     The weight is the reciprocal of the *expected number of draws* of the
     point, which makes weighted sums unbiased (a plain reciprocal of the
@@ -147,7 +139,7 @@ def sample_coreset(points, dist: SensitivityDistribution, s: int, rng=None) -> W
     """
     data = as_dataset(points)
     check_s(s)
-    p = check_masses(dist.probabilities, data.n, "probabilities")
+    p = check_masses(probabilities, data.n, "probabilities")
     rng = as_generator(rng)
     total = padded_pairwise_sum(p)
     idx = inverse_cdf(p, rng.random(s) * total)
@@ -199,11 +191,11 @@ def boosted_prone(
 
     Full-data passes, all inside prone: the projection ``X @ v``, the lift
     (centers of mass) and the per-point assignment costs. The sensitivity
-    step reuses prone's cost vector instead of computing it again, then
-    drops it; the coreset draw copies only the s sampled rows. The result
-    is bit-identical to ``prone``, ``sensitivity_distribution``,
-    ``sample_coreset`` and weighted ``kmeanspp_seed`` called in turn on one
-    generator.
+    step writes its probabilities over prone's cost vector instead of
+    computing the costs again; the coreset draw copies only the s sampled
+    rows. The result is bit-identical to ``prone``,
+    ``sensitivity_distribution``, ``sample_coreset`` and weighted
+    ``kmeanspp_seed`` called in turn on one generator.
     """
     check_z(z)
     check_fraction(alpha, "alpha")
@@ -217,9 +209,8 @@ def boosted_prone(
     rng = as_generator(rng)
     clock = StageClock()
     base, point_costs = clock.lap("prone", _prone(data, ProneConfig(k=k, z=z), rng=rng))
-    dist = _sensitivity_from_costs(point_costs, base.model.assignment, base.model.k)
-    del point_costs
-    coreset = clock.lap("coreset", sample_coreset(data, dist, s, rng))
+    probabilities = _sensitivity_from_costs(point_costs, base.model.assignment, base.model.k)
+    coreset = clock.lap("coreset", sample_coreset(data, probabilities, s, rng))
     seeded = clock.lap(
         "weighted_seed", kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)
     )

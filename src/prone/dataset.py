@@ -111,6 +111,10 @@ class Dataset:
             return np.asarray(self._mat.todense())
         return np.asarray(self._mat)
 
+    def __reduce__(self):
+        # rebuilt through __init__, which makes a dense copy read-only again
+        return Dataset, (self._mat,)
+
     def __repr__(self) -> str:
         kind = "sparse" if self.is_sparse else "dense"
         return f"Dataset(n={self.n}, d={self.d}, {kind}, nnz={self.nnz})"

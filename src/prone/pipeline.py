@@ -25,7 +25,7 @@ import numpy as np
 from ._util import StageClock, as_generator, check_k, check_seed, check_z
 from .baseline import ClusteringModel, centers_of_mass, cost_with_nearest, pointwise_assignment_costs
 from .dataset import as_dataset
-from .projection import ProjectionVector, check_variant, sample_direction, project
+from .projection import check_variant, sample_direction, project
 from .seeding1d import Seeding1DResult, SeedingStats, seed_1d_fast
 
 __all__ = ["ProneConfig", "ProneResult", "prone", "prone_center_cost"]
@@ -48,14 +48,14 @@ class ProneConfig:
 
 @dataclass(frozen=True)
 class ProneResult:
-    """Model, the projection that produced it, and instrumentation.
+    """Model, the direction it was projected on, and instrumentation.
 
     ``exhausted`` is True when the 1-D seeding found fewer than k distinct
     centers; the model then simply carries k' < k clusters.
     """
 
     model: ClusteringModel
-    projection: ProjectionVector
+    direction: np.ndarray
     seeding: Seeding1DResult
     seeding_stats: SeedingStats
     timings: dict = field(default_factory=dict)
@@ -86,10 +86,10 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
     gen = as_generator(rng) if rng is not None else as_generator(cfg.seed)
 
     clock = StageClock()
-    vec = sample_direction(data, cfg.variant, gen)
+    direction = sample_direction(data, cfg.variant, gen)
     # neither a name here nor the clock holds the projection, so the seeder can free it
     seeding, stats = clock.lap(
-        "seed", seed_1d_fast(clock.lap("project", project(data, vec)), cfg.k, cfg.z, gen)
+        "seed", seed_1d_fast(clock.lap("project", project(data, direction)), cfg.k, cfg.z, gen)
     )
     centers, _ = clock.lap("lift", centers_of_mass(data, seeding.assignment, seeding.k_found))
     point_costs = pointwise_assignment_costs(data, centers, seeding.assignment, cfg.z)
@@ -99,9 +99,7 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
     model = ClusteringModel(
         centers=centers, assignment=seeding.assignment, cost=cost, z=cfg.z
     )
-    result = ProneResult(
-        model=model, projection=vec, seeding=seeding, seeding_stats=stats, timings=clock.timings
-    )
+    result = ProneResult(model, direction, seeding, stats, clock.timings)
     return result, point_costs
 
 

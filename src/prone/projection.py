@@ -7,6 +7,8 @@ Two ways to draw the direction vector:
   mean-centered data, which has law N(0, Sigma_emp) without ever forming
   the d x d covariance matrix: O(nnz + n + d) time.
 
+``sample_direction`` returns the direction as a plain length-d float64
+array, and ``project(data, direction)`` takes any length-d vector.
 Projecting is a single matrix-vector product, so the whole reduction to
 one dimension costs O(nnz + n + d). Neither draw copies X: each holds
 O(n + d) scalars beyond it, on dense and CSR input alike.
@@ -14,24 +16,14 @@ O(n + d) scalars beyond it, on dense and CSR input alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._util import as_generator
 from .dataset import as_dataset
 
-__all__ = ["ProjectionVector", "VARIANTS", "sample_direction", "project"]
+__all__ = ["VARIANTS", "sample_direction", "project"]
 
 VARIANTS = ("standard", "covariance")
-
-
-@dataclass(frozen=True)
-class ProjectionVector:
-    """A direction in R^d plus the variant that made it."""
-
-    direction: np.ndarray
-    variant: str
 
 
 def _constant_features(data) -> np.ndarray:
@@ -60,8 +52,8 @@ def check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVector:
-    """Draw a projection direction for ``data`` using the given variant.
+def sample_direction(data, variant: str = "standard", rng=None) -> np.ndarray:
+    """Draw a projection direction for ``data``: a length-d float64 vector.
 
     The covariance direction gives a constant feature (column max equal to
     its min) exactly zero weight. It is zero only for deterministic
@@ -86,13 +78,13 @@ def sample_direction(data, variant: str = "standard", rng=None) -> ProjectionVec
         direction[_constant_features(data)] = 0.0
     if not np.any(direction != 0.0):
         direction = rng.standard_normal(data.d)
-    return ProjectionVector(direction=direction, variant=variant)
+    return direction
 
 
-def project(data, vec: ProjectionVector) -> np.ndarray:
-    """Project every point onto the direction: returns the length-n array X v."""
+def project(data, direction) -> np.ndarray:
+    """Project every point onto ``direction``: returns the length-n array X v."""
     data = as_dataset(data)
-    v = np.asarray(vec.direction, dtype=np.float64)
+    v = np.asarray(direction, dtype=np.float64)
     if v.shape != (data.d,):
         raise ValueError(f"direction has shape {v.shape}, data dimension is {data.d}")
     return np.asarray(data.points @ v).ravel()

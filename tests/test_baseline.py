@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from prone import baseline
 from prone._util import inverse_cdf, padded_pairwise_sum
 from prone.baseline import (
-    _COST_CHUNK,
     ClusteringModel,
     centers_of_mass,
     cost_with_assignment,
@@ -169,9 +168,16 @@ def _lift_instance(seed, n, sparse):
     return mat, sigma, k, rng
 
 
+@pytest.fixture
+def blocks_of_4096(monkeypatch):
+    """Blocks of 4096 rows in both kernels, so that the larger n below span several."""
+    monkeypatch.setattr(baseline, "_block_rows", lambda width: 4096)
+
+
 class TestBitIdenticalToReferences:
-    # n is not a multiple of the cost block size, and spans several blocks
-    @pytest.mark.parametrize("n", [1, 37, 2 * _COST_CHUNK + 37])
+    # n is not a multiple of the block size, and spans several blocks
+    @pytest.mark.usefixtures("blocks_of_4096")
+    @pytest.mark.parametrize("n", [1, 37, 2 * 4096 + 37])
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_centers_of_mass(self, n, sparse, weighted):
@@ -192,8 +198,9 @@ class TestBitIdenticalToReferences:
         np.testing.assert_array_equal(got, want)
         assert 3 in relocated.tolist()
 
+    @pytest.mark.usefixtures("blocks_of_4096")
     @pytest.mark.parametrize(
-        "n", [1, 37, 2 * _COST_CHUNK + 37, _COST_CHUNK - 1, _COST_CHUNK, _COST_CHUNK + 1]
+        "n", [1, 37, 2 * 4096 + 37, 4096 - 1, 4096, 4096 + 1]
     )
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
@@ -203,7 +210,8 @@ class TestBitIdenticalToReferences:
         got = pointwise_assignment_costs(mat, centers, sigma, z)
         np.testing.assert_array_equal(got, per_cluster_assignment_costs(mat, centers, sigma, z))
 
-    @pytest.mark.parametrize("n", [1, 37, 2 * _COST_CHUNK + 37])
+    @pytest.mark.usefixtures("blocks_of_4096")
+    @pytest.mark.parametrize("n", [1, 37, 2 * 4096 + 37])
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -218,7 +226,8 @@ class TestBitIdenticalToReferences:
         np.testing.assert_array_equal(got.assignment, assignment)
         assert got.cost == cost
 
-    # k = 512 puts the default block at 256 rows; n straddles its edges
+    # k = 512 puts the default block at 2**16 // 512 = 128 rows; n straddles
+    # its multiples
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 2 * 256 + 1])
     @pytest.mark.parametrize("k", [7, 512])
     @pytest.mark.parametrize("chunk", [13, 256, None])
@@ -226,7 +235,7 @@ class TestBitIdenticalToReferences:
     def test_nearest_assignment(self, n, k, chunk, sparse, monkeypatch):
         # chunk None keeps the default block; otherwise both sides use chunk rows
         if chunk is not None:
-            monkeypatch.setattr(baseline, "_assignment_block_rows", lambda k: chunk)
+            monkeypatch.setattr(baseline, "_block_rows", lambda width: chunk)
         mat, _, _, rng = _lift_instance(n + 2, n, sparse)
         centers = rng.standard_normal((k, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
         got = nearest_assignment(mat, centers)
@@ -289,8 +298,8 @@ class TestCosts:
 
     @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
     def test_dense_cost_kernel_peak_memory(self, z):
-        # the output plus one block buffer: the gather writes straight into
-        # the buffer, and the clamp and the power reuse the output
+        # the output plus one block buffer of 2**16 values: the gather writes
+        # straight into the buffer, and the clamp and the power reuse the output
         n, d = 200_000, 16
         rng = np.random.default_rng(6)
         pts = as_dataset(rng.standard_normal((n, d)))
@@ -302,7 +311,7 @@ class TestCosts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 8 * _COST_CHUNK * d + 2**16
+        assert peak <= out.nbytes + 8 * 2**16 + 2**16
 
     def test_nearest_assignment_cost_agrees(self):
         pts = as_dataset([[0.0], [2.0]])
@@ -355,12 +364,29 @@ class TestCosts:
         per = pointwise_assignment_costs(pts, centers, np.array([0, 1]), z=2)
         assert per.tolist() == [0.0, 4.0]
 
+    @pytest.mark.parametrize("k", [2, 40])
+    def test_peak_memory_at_high_d_holds_no_copy_of_x(self, k):
+        # X takes 32 MB; blocks hold about 2**16 values whatever d and k are,
+        # so the peak is the labels, the distances and a few blocks. Blocks
+        # sized by k alone would shift all of X by the origin at once at k = 2
+        n, d = 8_000, 500
+        rng = np.random.default_rng(12)
+        pts = as_dataset(rng.standard_normal((n, d)))
+        centers = rng.standard_normal((k, d))
+        tracemalloc.start()
+        try:
+            nearest_assignment(pts, centers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n + 3 * 8 * 2**16 + 2**16
+
     def test_chunked_assignment_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(77)
         pts = as_dataset(rng.standard_normal((101, 4)))
         centers = rng.standard_normal((7, 4))
         labels_b, d2_b = nearest_assignment(pts, centers)
-        monkeypatch.setattr(baseline, "_assignment_block_rows", lambda k: 13)
+        monkeypatch.setattr(baseline, "_block_rows", lambda width: 13)
         labels_a, d2_a = nearest_assignment(pts, centers)
         np.testing.assert_array_equal(labels_a, labels_b)
         np.testing.assert_array_equal(d2_a, d2_b)
@@ -370,8 +396,8 @@ class TestKmeansppSeed:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_peak_memory_holds_no_copy_of_x(self, sparse):
         # a few n-length arrays (distances, labels, masses and their prefix
-        # sums) plus one block of the cost kernel; no n x d difference array
-        # (dense) and no elementwise square of X (CSR)
+        # sums) plus one block of 2**16 values of the cost kernel; no n x d
+        # difference array (dense) and no elementwise square of X (CSR)
         n, d = 100_000, 32
         rng = np.random.default_rng(3)
         if sparse:
@@ -385,7 +411,7 @@ class TestKmeansppSeed:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 8 * n + 8 * _COST_CHUNK * d + 2**16
+        assert peak <= 10 * 8 * n + 8 * 2**16 + 2**16
 
     @pytest.mark.parametrize("z", [1.0, 2.0])
     @pytest.mark.parametrize("weighted", [False, True])

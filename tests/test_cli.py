@@ -92,12 +92,36 @@ class TestCluster:
 
     @pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
     def test_boosted_bad_alpha_is_an_error_not_a_crash(self, toy_csv, tmp_path, capsys, alpha):
-        code = run_cli(
-            "cluster", "--input", toy_csv, "--k", 2, "--algo", "boosted",
-            "--alpha", alpha, "--seed", 0, "--output", tmp_path / "o",
-        )
-        assert code == 2
-        assert "error: alpha" in capsys.readouterr().err
+        # rejected while parsing, before the input is read
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "cluster", "--input", toy_csv, "--k", 2, "--algo", "boosted",
+                "--alpha", alpha, "--seed", 0, "--output", tmp_path / "o",
+            )
+        assert exc.value.code == 2
+        assert f"argument --alpha: alpha={float(alpha)} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "x"])
+    def test_bad_alpha_usage_error_whatever_the_algorithm(self, tmp_path, capsys, algo, alpha):
+        # checked while parsing, so also where the algorithm ignores it, and
+        # the input file need not exist
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cluster", "--input", tmp_path / "absent.csv", "--k", 2, "--algo", algo,
+                    "--alpha", alpha, "--output", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "argument --alpha: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_reads_the_input_afresh_on_every_call(self, tmp_path, capsys):
+        # two commands in one process: the second sees the rewritten file
+        path = tmp_path / "points.csv"
+        for n in (4, 6):
+            path.write_text("".join(f"{i},{2 * i}\n" for i in range(n)))
+            code = run_cli("cluster", "--input", path, "--k", 2, "--output", tmp_path / "o")
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["n"] == n
+            assert len((tmp_path / "o.labels.txt").read_text().splitlines()) == n
 
     def test_variance_algorithm_removed(self, toy_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -152,7 +176,6 @@ class TestCluster:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(prone.cli, name, spy)
-        prone.cli._load_dataset.cache_clear()
         code = run_cli("cluster", "--input", toy_csv, "--k", 3, "--output", tmp_path / "o")
         assert code == 0
         assert set(reached) == {"cmd_cluster", "load_dense_csv", "prone"}
@@ -385,6 +408,16 @@ class TestBench:
         for key in ("cost_assignment", "cost_nearest", "k_found"):
             assert record[key] == cell[key], key
 
+    def test_reads_the_dataset_afresh_on_every_run(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        out = tmp_path / "b.jsonl"
+        for n in (4, 6):
+            path.write_text("".join(f"{i},{i * i}\n" for i in range(n)))
+            code = run_cli("bench", "--suite", "direct", "--dataset", path, "--ks", 2,
+                           "--reps", 1, "--jobs", 1, "--out", out)
+            assert code == 0
+            assert {r["n"] for r in read_jsonl(out)} == {n}
+
     def test_unknown_dataset(self, tmp_path, capsys):
         code = run_cli(
             "bench", "--suite", "direct", "--dataset", "no-such-dataset",
@@ -446,6 +479,10 @@ def test_count_options_reject_non_positive_values(command, option, value, capsys
     [
         ("--ks", "4,0", "must be a positive integer, got 0"),
         ("--ks", "4,2.5", "invalid literal for int()"),
+        ("--ks", ",", "empty list entry"),
+        ("--ks", "3,,7", "empty list entry"),
+        ("--sizes", "", "empty list entry"),
+        ("--alphas", "0.5,", "empty list entry"),
         ("--sizes", "-0.1", "rel_size=-0.1 must be finite and positive"),
         ("--sizes", "0.25,0", "rel_size=0.0 must be finite and positive"),
         ("--alphas", "-0.5", "alpha=-0.5 must be finite and positive"),
@@ -464,6 +501,6 @@ def test_list_options_reject_bad_entries(option, value, message, capsys):
 
 def test_list_options_parse_to_lists():
     args = prone.cli.build_parser().parse_args(
-        [*map(str, _BENCH), "--ks", "3,,7", "--sizes", "0.5", "--alphas", "1e-3,2"]
+        [*map(str, _BENCH), "--ks", "3,7", "--sizes", "0.5", "--alphas", "1e-3,2"]
     )
     assert (args.ks, args.sizes, args.alphas) == ([3, 7], [0.5], [0.001, 2.0])

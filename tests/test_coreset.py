@@ -1,6 +1,7 @@
 """Tests for sensitivity/lightweight sampling distributions, coresets, and the boosted pipeline."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 
 from prone._util import inverse_cdf, padded_pairwise_sum
 from prone.baseline import (
-    _COST_CHUNK,
     ClusteringModel,
     cost_with_assignment,
     cost_with_nearest,
     kmeanspp_seed,
     nearest_assignment,
+    pointwise_assignment_costs,
 )
 from prone.coreset import (
     BoostedResult,
-    SensitivityDistribution,
+    _sensitivity_from_costs,
     boosted_prone,
     lightweight_distribution,
     sample_coreset,
@@ -48,68 +49,68 @@ class TestSensitivityDistribution:
     def test_hand_example(self):
         # X={0,1,10}, C={0,10}: costs (0,1,0), cluster sizes (2,2,1) by label
         data, model = model_for([[0.0], [1.0], [10.0]], [[0.0], [10.0]])
-        dist = sensitivity_distribution(data, model)
-        masses = dist.cost_share + dist.size_share
-        np.testing.assert_allclose(masses, [0.5, 1.5, 1.0], rtol=1e-12)
-        np.testing.assert_allclose(dist.probabilities, [1 / 6, 1 / 2, 1 / 3], rtol=1e-12)
+        probs = sensitivity_distribution(data, model)
+        # masses (0.5, 1.5, 1.0) over 1 + k' = 3
+        np.testing.assert_allclose(probs, [1 / 6, 1 / 2, 1 / 3], rtol=1e-12)
 
     def test_zero_cost_uniform_within_cluster(self):
         data, model = model_for([[0.0], [0.0], [5.0]], [[0.0], [5.0]])
-        dist = sensitivity_distribution(data, model)
+        probs = sensitivity_distribution(data, model)
         # cost term vanishes: mass is 1/|cluster| and each cluster gets equal total
-        np.testing.assert_allclose(dist.probabilities, [0.25, 0.25, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(probs, [0.25, 0.25, 0.5], rtol=1e-12)
 
-    def test_masses_sum_to_one_plus_k(self):
+    def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pts = rng.standard_normal((40, 3))
             data = as_dataset(pts)
             model = kmeanspp_seed(data, k=int(rng.integers(1, 8)), z=2, rng=rng)
-            dist = sensitivity_distribution(data, model)
-            total = (dist.cost_share + dist.size_share).sum()
-            assert total == pytest.approx(1 + model.k, rel=1e-9)
-            assert dist.probabilities.sum() == pytest.approx(1.0, rel=1e-12)
+            probs = sensitivity_distribution(data, model)
+            assert probs.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_strictly_positive(self):
         # zero-cost points still get sampled: the size term never vanishes
         data, model = model_for([[0.0], [0.0], [9.0]], [[0.0], [9.0]])
-        assert (sensitivity_distribution(data, model).probabilities > 0).all()
+        assert (sensitivity_distribution(data, model) > 0).all()
 
 
 class TestLightweightDistribution:
     def test_identical_points_uniform(self):
-        dist = lightweight_distribution(as_dataset([[3.0], [3.0], [3.0]]))
-        np.testing.assert_allclose(dist.probabilities, [1 / 3] * 3)
+        probs = lightweight_distribution(as_dataset([[3.0], [3.0], [3.0]]))
+        np.testing.assert_allclose(probs, [1 / 3] * 3)
 
     def test_symmetric_pair_uniform(self):
-        dist = lightweight_distribution(as_dataset([[-1.0], [1.0]]))
-        np.testing.assert_allclose(dist.probabilities, [0.5, 0.5])
+        probs = lightweight_distribution(as_dataset([[-1.0], [1.0]]))
+        np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_outlier_mass(self):
         # mean 2, squared distances (4,4,4,4,64): q_5 = 1/10 + 64/160 = 1/2
-        dist = lightweight_distribution(as_dataset([[0.0], [0.0], [0.0], [0.0], [10.0]]))
-        assert dist.probabilities[-1] == pytest.approx(0.5, rel=1e-12)
-        np.testing.assert_allclose(dist.probabilities[:4], [0.125] * 4, rtol=1e-12)
+        probs = lightweight_distribution(as_dataset([[0.0], [0.0], [0.0], [0.0], [10.0]]))
+        assert probs[-1] == pytest.approx(0.5, rel=1e-12)
+        np.testing.assert_allclose(probs[:4], [0.125] * 4, rtol=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((30, 4))
-        dist = lightweight_distribution(as_dataset(pts))
+        probs = lightweight_distribution(as_dataset(pts))
         mu = pts.mean(axis=0)
         d2 = ((pts - mu) ** 2).sum(axis=1)
         expect = 0.5 / 30 + 0.5 * d2 / d2.sum()
-        np.testing.assert_allclose(dist.probabilities, expect, rtol=1e-12)
+        np.testing.assert_allclose(probs, expect, rtol=1e-12)
 
     def test_csr_matches_dense(self):
         mat = sp.random(300, 40, density=0.1, format="csr", random_state=6)
-        dense = lightweight_distribution(mat.toarray()).probabilities
-        np.testing.assert_allclose(lightweight_distribution(mat).probabilities, dense, rtol=1e-12)
+        dense = lightweight_distribution(mat.toarray())
+        np.testing.assert_allclose(lightweight_distribution(mat), dense, rtol=1e-12)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_holds_no_copy_of_x(self, sparse):
         # X takes 40 MB dense and 12 MB as CSR; the distances to the mean
-        # need a few n-vectors and one block of rows, not a centered or
-        # squared copy of X
+        # need the distances, the labels and one kernel block of 2**16
+        # stored values, not a centered or squared copy of X. The block is
+        # one float64 buffer for dense rows; for CSR it is about eight value
+        # and index temporaries per stored value. The probabilities are
+        # written over the distances
         n, d = 100_000, 50
         mat = sp.random(n, d, density=0.2, format="csr", random_state=5)
         data = as_dataset(mat if sparse else mat.toarray())
@@ -119,12 +120,71 @@ class TestLightweightDistribution:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 8 * n + 8 * _COST_CHUNK * d + 2**16
+        per_value = 64 if sparse else 8
+        assert peak <= 2 * 8 * n + per_value * 2**16 + 2**16
 
 
-def dist_of(probabilities):
-    p = np.asarray(probabilities, dtype=np.float64)
-    return SensitivityDistribution(p, cost_share=np.zeros_like(p), size_share=np.zeros_like(p))
+def two_share_sensitivity(costs, sigma, k):
+    """The formula of ``_sensitivity_from_costs``, with the two shares as separate arrays."""
+    total = float(costs.sum())
+    sizes = np.bincount(sigma, minlength=k)
+    k_nonempty = int((sizes > 0).sum())
+    cost_share = costs / total if total > 0 else np.zeros_like(costs)
+    size_share = 1.0 / sizes[sigma]
+    return (cost_share + size_share) / ((1.0 if total > 0 else 0.0) + k_nonempty)
+
+
+def two_share_lightweight(points):
+    """The formula of ``lightweight_distribution``, with the two shares as separate arrays."""
+    data = as_dataset(points)
+    n = data.n
+    mean = np.asarray(data.points.sum(axis=0)).ravel() / n
+    d2 = pointwise_assignment_costs(data, mean[None], np.zeros(n, dtype=np.intp))
+    total = float(d2.sum())
+    if total > 0:
+        size_share, cost_share = np.full(n, 1.0 / (2.0 * n)), d2 / (2.0 * total)
+    else:
+        size_share, cost_share = np.full(n, 1.0 / n), np.zeros(n)
+    return size_share + cost_share
+
+
+class TestInPlaceFormulas:
+    # the in-place arithmetic must give the bits that separate shares give
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+    def test_sensitivity_bit_identical(self, sparse, z):
+        rng = np.random.default_rng(17)
+        pts = rng.standard_normal((500, 7)) * 10.0 ** rng.integers(-3, 4, size=7)
+        pts[rng.random(pts.shape) < 0.5] = 0.0
+        points = sp.csr_matrix(pts) if sparse else pts
+        k = 12
+        sigma = rng.integers(0, k - 3, size=500)  # cluster ids 9 to 11 have no points
+        centers = rng.standard_normal((k, 7))
+        costs = pointwise_assignment_costs(points, centers, sigma, z)
+        want = two_share_sensitivity(costs, sigma, k)
+        got = _sensitivity_from_costs(costs.copy(), sigma, k)
+        np.testing.assert_array_equal(got, want)
+        model = ClusteringModel(centers, sigma, float(costs.sum()), z)
+        np.testing.assert_array_equal(sensitivity_distribution(points, model), want)
+
+    def test_sensitivity_zero_total_cost(self):
+        sigma = np.array([0, 0, 3, 3, 3, 1])  # cluster id 2 has no points
+        costs = np.zeros(6)
+        want = two_share_sensitivity(costs, sigma, 5)
+        np.testing.assert_array_equal(_sensitivity_from_costs(costs, sigma, 5), want)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_lightweight_bit_identical(self, sparse):
+        mat = sp.random(700, 30, density=0.2, format="csr", random_state=4) * 1e3
+        points = mat if sparse else mat.toarray()
+        np.testing.assert_array_equal(lightweight_distribution(points), two_share_lightweight(points))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_lightweight_zero_total(self, sparse):
+        pts = np.full((9, 3), 2.5)
+        points = sp.csr_matrix(pts) if sparse else pts
+        np.testing.assert_array_equal(lightweight_distribution(points), two_share_lightweight(points))
 
 
 def line(n):
@@ -179,34 +239,34 @@ class TestInverseCdf:
 
 class TestCoresetDraws:
     def test_single_outcome(self):
-        cs = sample_coreset(line(1), dist_of([1.0]), s=10, rng=np.random.default_rng(0))
+        cs = sample_coreset(line(1), [1.0], s=10, rng=np.random.default_rng(0))
         assert cs.source_indices.tolist() == [0] * 10
         np.testing.assert_array_equal(cs.weights, np.full(10, 0.1))
 
     def test_empirical_frequencies(self):
         probs = np.array([0.5, 0.3, 0.2])
-        cs = sample_coreset(line(3), dist_of(probs), s=60_000, rng=np.random.default_rng(9))
+        cs = sample_coreset(line(3), probs, s=60_000, rng=np.random.default_rng(9))
         freq = np.bincount(cs.source_indices, minlength=3) / 60_000
         se = np.sqrt(probs * (1 - probs) / 60_000)
         assert (np.abs(freq - probs) < 3 * se).all()
 
     def test_reproducible(self):
-        dist = dist_of([0.25, 0.75])
-        a = sample_coreset(line(2), dist, s=100, rng=np.random.default_rng(4))
-        b = sample_coreset(line(2), dist, s=100, rng=np.random.default_rng(4))
+        probs = [0.25, 0.75]
+        a = sample_coreset(line(2), probs, s=100, rng=np.random.default_rng(4))
+        b = sample_coreset(line(2), probs, s=100, rng=np.random.default_rng(4))
         np.testing.assert_array_equal(a.source_indices, b.source_indices)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_normalizes_relative_masses(self):
         # inputs are relative masses; [1, 3] behaves like [0.25, 0.75]
-        cs = sample_coreset(line(2), dist_of([1.0, 3.0]), s=40_000, rng=np.random.default_rng(2))
+        cs = sample_coreset(line(2), [1.0, 3.0], s=40_000, rng=np.random.default_rng(2))
         assert cs.source_indices.mean() == pytest.approx(0.75, abs=3 * np.sqrt(0.1875 / 40_000))
 
     def test_relative_masses_scale_weights_too(self):
         p = np.random.default_rng(3).random(50)
         p /= p.sum()
-        a = sample_coreset(line(50), dist_of(p), s=200, rng=np.random.default_rng(7))
-        b = sample_coreset(line(50), dist_of(4.0 * p), s=200, rng=np.random.default_rng(7))
+        a = sample_coreset(line(50), p, s=200, rng=np.random.default_rng(7))
+        b = sample_coreset(line(50), 4.0 * p, s=200, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a.source_indices, b.source_indices)
         np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -219,14 +279,13 @@ class TestCoresetDraws:
         for message, cases in bad.items():
             for probs in cases:
                 with pytest.raises(ValueError, match=f"probabilities {message}"):
-                    sample_coreset(line(2), dist_of(probs), s=4, rng=0)
+                    sample_coreset(line(2), probs, s=4, rng=0)
 
     def test_rejects_complex_masses(self):
         # the float64 cast used to drop the imaginary part with only a warning
         ones = np.ones(2) * (1 + 1j)
-        dist = SensitivityDistribution(ones, cost_share=ones, size_share=ones)
         with pytest.raises(ValueError, match="^probabilities must be real, not complex$"):
-            sample_coreset(line(2), dist, s=4, rng=0)
+            sample_coreset(line(2), ones, s=4, rng=0)
         with pytest.raises(ValueError, match="^weights must be real, not complex$"):
             kmeanspp_seed(line(100), 2, weights=np.ones(100) * 1j)
 
@@ -235,28 +294,28 @@ class TestSampleCoreset:
     def test_uniform_weights_are_one(self):
         data, model = model_for([[float(i)] for i in range(8)], [[float(i)] for i in range(8)])
         # every point its own center: uniform distribution over 8 points
-        dist = sensitivity_distribution(data, model)
-        cs = sample_coreset(data, dist, s=8, rng=1)
+        probs = sensitivity_distribution(data, model)
+        cs = sample_coreset(data, probs, s=8, rng=1)
         np.testing.assert_allclose(cs.weights, np.ones(8))
         assert cs.size == 8
 
     def test_single_sample_weight(self):
         data, model = model_for([[0.0], [1.0], [10.0]], [[0.0], [10.0]])
-        dist = sensitivity_distribution(data, model)
-        cs = sample_coreset(data, dist, s=1, rng=5)
+        probs = sensitivity_distribution(data, model)
+        cs = sample_coreset(data, probs, s=1, rng=5)
         i = cs.source_indices[0]
-        assert cs.weights[0] == pytest.approx(1.0 / dist.probabilities[i], rel=1e-12)
+        assert cs.weights[0] == pytest.approx(1.0 / probs[i], rel=1e-12)
 
     def test_unbiased_cost_estimate(self):
         data, _ = gen_gaussian_mixture(5, 200, 4, 100.0, rng=2)
         centers = np.random.default_rng(3).uniform(0, 100, size=(5, 4))
         full = cost_with_nearest(data, centers, z=2)
         model = kmeanspp_seed(data, k=5, z=2, rng=7)
-        dist = sensitivity_distribution(data, model)
+        probs = sensitivity_distribution(data, model)
         rng = np.random.default_rng(11)
         est = []
         for _ in range(300):
-            cs = sample_coreset(data, dist, s=256, rng=rng)
+            cs = sample_coreset(data, probs, s=256, rng=rng)
             est.append(cost_with_nearest(cs.points, centers, z=2, weights=cs.weights))
         assert np.mean(est) == pytest.approx(full, rel=0.05)
 
@@ -269,8 +328,8 @@ class TestSampleCoreset:
         coresets = []
         for points in (pts, sp.csr_matrix(pts)):
             model = kmeanspp_seed(points, 6, 2, np.random.default_rng(1))
-            dist = sensitivity_distribution(points, model)
-            coresets.append(sample_coreset(points, dist, 50, rng=9))
+            probs = sensitivity_distribution(points, model)
+            coresets.append(sample_coreset(points, probs, 50, rng=9))
         dense, csr = coresets
         np.testing.assert_array_equal(csr.points, dense.points)
         np.testing.assert_array_equal(csr.weights, dense.weights)
@@ -278,20 +337,20 @@ class TestSampleCoreset:
 
     def test_rejects_bad_s(self):
         data, model = model_for([[0.0], [1.0]], [[0.0]])
-        dist = sensitivity_distribution(data, model)
+        probs = sensitivity_distribution(data, model)
         with pytest.raises(ValueError):
-            sample_coreset(data, dist, s=0, rng=0)
+            sample_coreset(data, probs, s=0, rng=0)
 
     def test_s_must_be_an_integer(self):
         # these used to fail inside numpy with a TypeError
         data, model = model_for([[0.0], [1.0]], [[0.0]])
-        dist = sensitivity_distribution(data, model)
+        probs = sensitivity_distribution(data, model)
         for s in (2.5, True, np.float64(3.0)):
             with pytest.raises(ValueError, match=r"^s=.* must be an integer$"):
-                sample_coreset(data, dist, s=s, rng=0)
+                sample_coreset(data, probs, s=s, rng=0)
         with pytest.raises(ValueError, match=r"^s=0 must be >= 1$"):
-            sample_coreset(data, dist, s=0, rng=0)
-        assert sample_coreset(data, dist, s=np.int64(3), rng=0).size == 3
+            sample_coreset(data, probs, s=0, rng=0)
+        assert sample_coreset(data, probs, s=np.int64(3), rng=0).size == 3
 
 
 class TestBoosted:
@@ -373,8 +432,8 @@ class TestBoosted:
         k, alpha = 5, 0.25
         rng = np.random.default_rng(7)
         base = prone(points, ProneConfig(k=k, z=z), rng=rng)
-        dist = sensitivity_distribution(points, base.model)
-        coreset = sample_coreset(points, dist, math.ceil(alpha * len(pts)), rng)
+        probs = sensitivity_distribution(points, base.model)
+        coreset = sample_coreset(points, probs, math.ceil(alpha * len(pts)), rng)
         seeded = kmeanspp_seed(coreset.points, k, z, rng, weights=coreset.weights)
         want = BoostedResult(model=seeded, prone_result=base, coreset=coreset, timings={})
 
@@ -387,6 +446,22 @@ class TestBoosted:
         got_ev, want_ev = got.evaluate(points), want.evaluate(points)
         np.testing.assert_array_equal(got_ev.assignment, want_ev.assignment)
         assert got_ev.cost == want_ev.cost
+
+    def test_peak_memory_of_one_call(self):
+        # the peak is prone's own (see test_pipeline's test of the same name):
+        # the sensitivity step writes the probabilities over prone's cost
+        # vector, so it adds no n-vector on top of it
+        n = 200_000
+        pts = as_dataset(np.random.default_rng(5).standard_normal((n, 16)))
+        tracemalloc.start()
+        try:
+            boosted_prone(pts, k=100, z=2, alpha=0.01, rng=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capacity = 1 << (n - 1).bit_length()
+        projection = 8 * n if sys.version_info < (3, 11) else 0
+        assert peak < projection + 2 * 8 * n + 16 * capacity + 2**20
 
     def test_timings_present(self):
         data, _ = gen_gaussian_mixture(3, 60, 4, 50.0, rng=5)

@@ -1,6 +1,7 @@
 """Tests for the data model, file formats, and synthetic generators."""
 
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -92,6 +93,17 @@ class TestDataset:
         pts[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             data.points[0, 0] = 9.0
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_pickled_copy_stays_read_only(self, storage):
+        # ``bench --jobs`` sends the Dataset to its workers this way
+        data = as_dataset(storage([[1.0, 0.0], [0.0, 2.0]]))
+        copy = pickle.loads(pickle.dumps(data))
+        assert copy.is_sparse == data.is_sparse
+        np.testing.assert_array_equal(copy.to_dense(), data.to_dense())
+        if not copy.is_sparse:
+            with pytest.raises(ValueError, match="read-only"):
+                copy.points[0, 0] = 9.0
 
     def test_later_writes_reach_the_dataset_unchecked(self):
         # the documented contract: finiteness is checked once, at wrapping
