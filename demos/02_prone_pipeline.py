@@ -17,9 +17,9 @@ import time
 
 import numpy as np
 
-from prone.baseline import kmeanspp_seed
+from prone.baseline import cost_with_nearest, kmeanspp_seed
 from prone.dataset import gen_gaussian_mixture
-from prone.pipeline import ProneConfig, prone, prone_center_cost
+from prone.pipeline import ProneConfig, prone
 from prone.projection import VARIANTS
 
 
@@ -43,7 +43,7 @@ def main() -> None:
                 res = prone(data, ProneConfig(k=k, z=2.0, seed=seed))
                 cost = res.model.cost
                 if name == "prone+reassign":
-                    cost = prone_center_cost(data, res)
+                    cost = cost_with_nearest(data, res.model.centers, res.model.z)
             walls.append(time.perf_counter() - t0)
             costs.append(cost)
         rows[name] = (np.median(costs), np.median(walls) * 1e3)
@@ -62,8 +62,8 @@ def main() -> None:
     print(f"  {'variant':<12} {'median reassigned cost':>24}")
     for variant in VARIANTS:
         costs = [
-            prone_center_cost(data, prone(data, ProneConfig(
-                k=k, z=2.0, variant=variant, seed=seed)))
+            cost_with_nearest(data, prone(data, ProneConfig(
+                k=k, z=2.0, variant=variant, seed=seed)).model.centers)
             for seed in range(5)
         ]
         print(f"  {variant:<12} {np.median(costs):>24.4g}")

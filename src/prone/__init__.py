@@ -34,7 +34,7 @@ from .dataset import (
     load_sparse,
     write_dense_csv,
 )
-from .pipeline import ProneConfig, ProneResult, prone, prone_center_cost
+from .pipeline import ProneConfig, ProneResult, prone
 from .projection import VARIANTS, project, sample_direction
 from .seeding1d import (
     Seeding1DResult,
@@ -71,7 +71,6 @@ __all__ = [
     "nearest_assignment",
     "pointwise_assignment_costs",
     "prone",
-    "prone_center_cost",
     "project",
     "sample_coreset",
     "sample_direction",

@@ -60,11 +60,16 @@ def check_k(k, n: int) -> None:
         raise ValueError(f"k={k} must satisfy 1 <= k <= n={n}")
 
 
+def _check_count(value, name: str) -> None:
+    """Raise unless ``value`` is an integer >= 1."""
+    _check_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name}={value} must be >= 1")
+
+
 def check_s(s) -> None:
     """Raise unless the coreset size ``s`` is an integer >= 1."""
-    _check_integer(s, "s")
-    if s < 1:
-        raise ValueError(f"s={s} must be >= 1")
+    _check_count(s, "s")
 
 
 def check_seed(seed):

@@ -14,10 +14,9 @@ three bench suites run through. Benchmark runs with the same (k, rep)
 start from the same derived seed so that cost ratios and speedups are
 paired, and ``cluster --seed S --k K`` starts from bench's (K, rep 0) seed,
 so it reproduces that cell. Every command reads its input file afresh,
-once. --jobs N runs cells in parallel processes.
-Nothing pins the BLAS thread count, so each cell's matrix products may use
-several threads, and parallel cells compete for the same cores; compare
-wall-clock times only between runs with the same --jobs on the same host.
+once. bench runs its cells one after another in the calling process.
+Nothing pins the BLAS thread count, so a cell's matrix products may use
+several threads; compare wall-clock times only between runs on the same host.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import argparse
 import csv
 import json
 import math
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -44,6 +41,7 @@ from .coreset import (
 )
 from .dataset import (
     Dataset,
+    _check_separation,
     gen_adversarial_gaussian,
     gen_gaussian_mixture,
     load_dense_csv,
@@ -235,9 +233,9 @@ def cmd_cluster(args) -> int:
 # --- bench -------------------------------------------------------------
 
 
-def _direct_cell(data, k, z, rng, task):
+def _direct_cell(args, data, k, rng):
     for algo in ("prone", "prone-covariance", "kmeanspp"):
-        yield algo, ALGORITHMS[algo](data, k, z, rng()), {}
+        yield algo, ALGORITHMS[algo](data, k, args.z, rng()), {}
 
 
 def _fit(points, k: int, z: float, rng, weights=None) -> ClusteringModel:
@@ -248,13 +246,14 @@ def _fit(points, k: int, z: float, rng, weights=None) -> ClusteringModel:
     return model
 
 
-def _coreset_cell(data, k, z, rng, task):
+def _coreset_cell(args, data, k, rng):
+    z = args.z
     # paired baseline: plain seeding plus refinement on the full data
     clock = StageClock()
     model = clock.lap("call", _fit(data, k, z, rng()))
     yield "kmeanspp", Run(model.centers, model.assignment, clock.timings), {}
     for construction in ("sensitivity", "prone", "lightweight"):
-        for rel in task["rel_sizes"]:
+        for rel in args.sizes:
             s = math.ceil(rel * data.n)
             if s < k:
                 continue  # not enough coreset points to seed k centers
@@ -274,28 +273,27 @@ def _coreset_cell(data, k, z, rng, task):
             yield construction, run, {"rel_size": rel}
 
 
-def _boosted_cell(data, k, z, rng, task):
+def _boosted_cell(args, data, k, rng):
     for algo in ("kmeanspp", "prone"):
-        yield algo, ALGORITHMS[algo](data, k, z, rng()), {}
-    for alpha in task["alphas"]:
+        yield algo, ALGORITHMS[algo](data, k, args.z, rng()), {}
+    for alpha in args.alphas:
         if math.ceil(alpha * data.n) < k:
             continue  # cell excluded: coreset smaller than k
-        yield "boosted", ALGORITHMS["boosted"](data, k, z, rng(), alpha), {"alpha": alpha}
+        yield "boosted", ALGORITHMS["boosted"](data, k, args.z, rng(), alpha), {"alpha": alpha}
 
 
 _CELLS = {"direct": _direct_cell, "coreset": _coreset_cell, "boosted": _boosted_cell}
 
 
-def _run_cell(task: dict, data: Dataset) -> list[dict]:
+def _run_cell(args, data: Dataset, k: int, rep: int) -> list[dict]:
     """All records of one (k, rep) cell; every run starts from the cell's seed."""
-    k, z, seed, rep = task["k"], task["z"], task["seed"], task["rep"]
-    runs = _CELLS[task["suite"]](data, k, z, lambda: _cell_rng(seed, k, rep), task)
+    runs = _CELLS[args.suite](args, data, k, lambda: _cell_rng(args.seed, k, rep))
     return [
         _record({
-            "suite": task["suite"], "algorithm": algo, "dataset": task["dataset"],
-            "n": data.n, "d": data.d, "k": k, "z": z, "seed": seed, "rep": rep,
+            "suite": args.suite, "algorithm": algo, "dataset": args.dataset,
+            "n": data.n, "d": data.d, "k": k, "z": args.z, "seed": args.seed, "rep": rep,
             "alpha": None, "rel_size": None, **extra,
-        }, _with_nearest(run, data, z))
+        }, _with_nearest(run, data, args.z))
         for algo, run, extra in runs
     ]
 
@@ -331,27 +329,12 @@ def _summarize(records: list[dict], path: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    tasks = [
-        {
-            "suite": args.suite, "dataset": args.dataset, "k": k, "rep": rep,
-            "seed": args.seed, "z": args.z, "rel_sizes": args.sizes, "alphas": args.alphas,
-        }
-        for k in args.ks
-        for rep in range(args.reps)
-    ]
-    records: list[dict] = []
-    # read once per run, here: every cell gets this copy, and a bad file
-    # is a usage error before any worker starts
+    # read once per run: every cell gets this copy, and a bad file is a
+    # usage error before any cell runs
     data = _load_dataset(args.dataset)
-    if args.jobs > 1:
-        # spawned, not forked: forking a process whose BLAS threads run can deadlock
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-            for cell in pool.map(partial(_run_cell, data=data), tasks):
-                records.extend(cell)
-    else:
-        for task in tasks:
-            records.extend(_run_cell(task, data))
+    records = [
+        rec for k in args.ks for rep in range(args.reps) for rec in _run_cell(args, data, k, rep)
+    ]
     for rec in records:
         for field_name in ("cost_assignment", "cost_nearest"):
             val = rec[field_name]
@@ -421,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative coreset sizes (coreset suite)")
     p.add_argument("--alphas", type=_checked_list(partial(check_fraction, name="alpha"), float),
                    default="0.001,0.01,0.1", help="coreset fractions (boosted suite)")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="JSON-lines output path")
     p.set_defaults(func=cmd_bench)
 
@@ -436,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--k", type=_positive_int, required=True)
     pm.add_argument("--per-cluster", type=_positive_int, required=True)
     pm.add_argument("--d", type=_positive_int, required=True)
-    pm.add_argument("--separation", type=float, required=True)
+    pm.add_argument("--separation", type=_checked(_check_separation, float), required=True)
     pm.add_argument("--seed", type=_checked(check_seed, int), default=0)
     pm.add_argument("--out", required=True)
     pm.set_defaults(func=cmd_gen)

@@ -15,11 +15,12 @@ Parse errors name the offending line. Writing a dense dataset uses full
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import as_generator
+from ._util import _check_count, as_generator
 
 __all__ = [
     "Dataset",
@@ -72,7 +73,9 @@ class Dataset:
             if m.ndim != 2:
                 raise ValueError("expected a 2-D array of points")
             m.setflags(write=False)
-        if not np.isfinite(values).all():
+        # NaN propagates through min and max, and an infinity is one of them,
+        # so two passes check every value without an n x d bool array
+        if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise ValueError("points must be finite")
         self._mat = m
         if self.n < 1 or self.d < 1:
@@ -267,8 +270,7 @@ def gen_adversarial_gaussian(m: int, rng=None) -> Dataset:
     copies make the mean exactly zero and leave the origin cluster so small
     that uniform-flavored sampling schemes are likely to miss it.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_count(m, "m")
     rng = as_generator(rng)
     d = 4
     blocks = []
@@ -281,6 +283,13 @@ def gen_adversarial_gaussian(m: int, rng=None) -> Dataset:
     return Dataset(pts)
 
 
+def _check_separation(separation):
+    """Return ``separation`` unchanged if it is finite and >= 0, else raise."""
+    if not (separation >= 0 and math.isfinite(separation)):
+        raise ValueError(f"separation={separation} must be finite and nonnegative")
+    return separation
+
+
 def gen_gaussian_mixture(
     k: int, per_cluster: int, d: int, separation: float, rng=None
 ) -> tuple[Dataset, np.ndarray]:
@@ -290,10 +299,9 @@ def gen_gaussian_mixture(
     gets ``per_cluster`` points of isotropic unit noise. Returns the
     dataset and the (k, d) ground-truth center matrix.
     """
-    if k < 1 or per_cluster < 1 or d < 1:
-        raise ValueError("k, per_cluster and d must all be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
+    for name, count in (("k", k), ("per_cluster", per_cluster), ("d", d)):
+        _check_count(count, name)
+    _check_separation(separation)
     rng = as_generator(rng)
     centers = rng.uniform(0.0, separation, size=(k, d))
     noise = rng.standard_normal((k * per_cluster, d))

@@ -5,7 +5,7 @@ the fast 1-D seeding there, and lifts the resulting partition back to R^d
 by taking each part's center of mass. The reported cost is the cost of
 that fixed partition, which is computable in O(nnz + n + kd); the
 classical nearest-center cost is a separate, more expensive evaluation
-(:func:`prone_center_cost`).
+(:func:`~prone.baseline.cost_with_nearest` on the model's centers).
 
 Everything is deterministic in (data, config): the config's seed drives a
 single counter-based stream used for the direction and then the seeding.
@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import StageClock, as_generator, check_k, check_seed, check_z
-from .baseline import ClusteringModel, centers_of_mass, cost_with_nearest, pointwise_assignment_costs
+from .baseline import ClusteringModel, centers_of_mass, pointwise_assignment_costs
 from .dataset import as_dataset
 from .projection import check_variant, sample_direction, project
 from .seeding1d import Seeding1DResult, SeedingStats, seed_1d_fast
 
-__all__ = ["ProneConfig", "ProneResult", "prone", "prone_center_cost"]
+__all__ = ["ProneConfig", "ProneResult", "prone"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class ProneConfig:
 class ProneResult:
     """Model, the direction it was projected on, and instrumentation.
 
-    ``exhausted`` is True when the 1-D seeding found fewer than k distinct
-    centers; the model then simply carries k' < k clusters.
+    ``seeding.exhausted`` is True when the 1-D seeding found fewer than k
+    distinct centers; the model then simply carries k' < k clusters.
     """
 
     model: ClusteringModel
@@ -59,10 +59,6 @@ class ProneResult:
     seeding: Seeding1DResult
     seeding_stats: SeedingStats
     timings: dict = field(default_factory=dict)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.seeding.exhausted
 
 
 def prone(data, cfg: ProneConfig, rng=None) -> ProneResult:
@@ -101,8 +97,3 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
     )
     result = ProneResult(model, direction, seeding, stats, clock.timings)
     return result, point_costs
-
-
-def prone_center_cost(data, result: ProneResult) -> float:
-    """Nearest-center cost of the lifted centers on the full data (O(ndk))."""
-    return cost_with_nearest(data, result.model.centers, result.model.z)

@@ -97,6 +97,10 @@ _WINDOW = 256
 # at most about one call on a short run and saves doublings on a long one.
 _FIRST_BLOCK = 512
 
+# Longest fallback scan block: 2**16 points, the values a ``baseline``
+# kernel block holds. Longer blocks only raise the scan's peak memory.
+_MAX_BLOCK = 2**16
+
 # Levels of a tree update at most this many nodes wide are summed with
 # scalar memoryview adds: one numpy call costs about as much as ten of them,
 # and per-update times were flat for widths 4..14.
@@ -341,8 +345,8 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
     """Continue an improving run from index ``i`` in direction ``step`` (+-1).
 
     Writes |x_j - c|^z over ``a`` for j = i, i + step, ... while it is
-    smaller, in blocks that double in length, and returns the first index
-    it did not improve (-1 or n past either end).
+    smaller, in blocks that double in length up to ``_MAX_BLOCK``, and
+    returns the first index it did not improve (-1 or n past either end).
     """
     n = xs.size
     block = _FIRST_BLOCK
@@ -363,7 +367,8 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
         i += step * run
         if run < improve.size:
             break
-        block <<= 1
+        block = min(2 * block, _MAX_BLOCK)
+        del vals  # freed before the next block's values are allocated
     return i
 
 

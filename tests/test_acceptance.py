@@ -25,7 +25,7 @@ from prone.coreset import (
     sensitivity_distribution,
 )
 from prone.dataset import gen_adversarial_gaussian, gen_gaussian_mixture
-from prone.pipeline import ProneConfig, prone, prone_center_cost
+from prone.pipeline import ProneConfig, prone
 from prone.projection import project, sample_direction
 from prone.seeding1d import seed_1d_fast, seed_1d_naive
 
@@ -238,7 +238,7 @@ def test_07_reassigned_centers_match_kmeanspp_quality():
     base_costs = []
     for seed in range(10):
         res = prone(data, ProneConfig(k=k, z=2.0, seed=seed))
-        prone_costs.append(prone_center_cost(data, res))
+        prone_costs.append(cost_with_nearest(data, res.model.centers, res.model.z))
         model = kmeanspp_seed(pts, k, z=2.0, rng=np.random.default_rng(seed))
         base_costs.append(model.cost)
     ratio = float(np.median(prone_costs)) / float(np.median(base_costs))

@@ -278,6 +278,17 @@ class TestGen:
             run_cli("gen", "gaussian-adversarial", "--m", 0, "--out", tmp_path / "g.csv")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_separation_usage_error(self, value, tmp_path, capsys):
+        # rejected while parsing, before the file is written
+        out = tmp_path / "m.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "mixture", "--k", 2, "--per-cluster", 1, "--d", 1,
+                    "--separation", value, "--out", out)
+        assert exc.value.code == 2
+        assert "argument --separation: separation=" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_direct_record_count(self, toy_csv, tmp_path, capsys):
@@ -374,17 +385,12 @@ class TestBench:
             costs.append([(r["algorithm"], r["rep"], r["cost_assignment"]) for r in records])
         assert costs[0] == costs[1]
 
-    def test_parallel_jobs_same_records(self, toy_csv, tmp_path, capsys):
-        outs = []
-        for jobs, name in ((1, "serial"), (2, "par")):
-            out = tmp_path / f"{name}.jsonl"
-            run_cli(
-                "bench", "--suite", "direct", "--dataset", toy_csv,
-                "--ks", "2,3", "--reps", 1, "--seed", 4, "--jobs", jobs, "--out", out,
-            )
-            records = read_jsonl(out)
-            outs.append(sorted((r["algorithm"], r["k"], r["cost_assignment"]) for r in records))
-        assert outs[0] == outs[1]
+    def test_jobs_option_removed(self, toy_csv, tmp_path):
+        # cells run one after another in one process; there is no worker pool
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--suite", "direct", "--dataset", toy_csv, "--ks", 2,
+                    "--reps", 1, "--jobs", 2, "--out", tmp_path / "b.jsonl")
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
     def test_cluster_reproduces_rep0_cell(self, algo, toy_csv, tmp_path, capsys):
@@ -414,7 +420,7 @@ class TestBench:
         for n in (4, 6):
             path.write_text("".join(f"{i},{i * i}\n" for i in range(n)))
             code = run_cli("bench", "--suite", "direct", "--dataset", path, "--ks", 2,
-                           "--reps", 1, "--jobs", 1, "--out", out)
+                           "--reps", 1, "--out", out)
             assert code == 0
             assert {r["n"] for r in read_jsonl(out)} == {n}
 
@@ -459,10 +465,9 @@ _BENCH = ("bench", "--suite", "direct", "--dataset", "x.csv", "--out", "o.jsonl"
         (_MIXTURE + ("--k", 2, "--per-cluster", 2), "--d"),
         (("gen", "gaussian-adversarial", "--out", "g.csv"), "--m"),
         (_BENCH, "--reps"),
-        (_BENCH, "--jobs"),
         (_BENCH, "--ks"),
     ],
-    ids=["cluster-k", "mixture-k", "per-cluster", "d", "m", "reps", "jobs", "ks"],
+    ids=["cluster-k", "mixture-k", "per-cluster", "d", "m", "reps", "ks"],
 )
 def test_count_options_reject_non_positive_values(command, option, value, capsys):
     # rejected while parsing, before any file is read or written

@@ -35,6 +35,18 @@ class TestDataset:
             as_dataset([[1.0, float("inf")]])
 
     @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_any_non_finite_value_named(self, layout, bad):
+        pts = np.arange(12.0).reshape(4, 3)
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            Dataset(layout(pts))
+
+    def test_sparse_with_no_stored_values(self):
+        data = Dataset(sp.csr_matrix((3, 2)))
+        assert (data.n, data.d, data.nnz) == (3, 2, 0)
+
+    @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
     def test_rejects_complex(self, layout):
         # the float64 cast would drop the imaginary part with only a warning
         with pytest.raises(ValueError, match="complex"):
@@ -94,9 +106,24 @@ class TestDataset:
         with pytest.raises(ValueError, match="read-only"):
             data.points[0, 0] = 9.0
 
+    def test_wrapping_a_raw_array_builds_no_mask(self):
+        # the finiteness check must not allocate an n x d bool array (3.8 MiB
+        # here): prone on the raw array peaks as it does on a Dataset
+        x = np.random.default_rng(0).standard_normal((20_000, 200))
+        peaks = []
+        for arg in (as_dataset(x), x):
+            tracemalloc.start()
+            try:
+                prone(arg, ProneConfig(k=10, seed=0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 2**20
+
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
     def test_pickled_copy_stays_read_only(self, storage):
-        # ``bench --jobs`` sends the Dataset to its workers this way
+        # pickle and multiprocessing rebuild a Dataset through ``__reduce__``
         data = as_dataset(storage([[1.0, 0.0], [0.0, 2.0]]))
         copy = pickle.loads(pickle.dumps(data))
         assert copy.is_sparse == data.is_sparse
@@ -304,6 +331,11 @@ class TestAdversarial:
         with pytest.raises(ValueError):
             gen_adversarial_gaussian(0, rng=0)
 
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(3.0)])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ValueError, match=r"^m=.* must be an integer$"):
+            gen_adversarial_gaussian(m, rng=0)
+
     def test_clusters_sit_far_out_on_each_axis(self):
         pts = gen_adversarial_gaussian(50, rng=2).to_dense()
         for axis in range(4):
@@ -337,3 +369,25 @@ class TestMixture:
             gen_gaussian_mixture(0, 5, 2, 10.0, rng=0)
         with pytest.raises(ValueError):
             gen_gaussian_mixture(2, 5, 2, -1.0, rng=0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.5, 3, 2, 1.0), "k=2.5 must be an integer"),
+            ((True, 3, 2, 1.0), "k=True must be an integer"),
+            ((2, 3.0, 2, 1.0), "per_cluster=3.0 must be an integer"),
+            ((2, 3, 2.0, 1.0), "d=2.0 must be an integer"),
+            ((2, 0, 2, 1.0), "per_cluster=0 must be >= 1"),
+            ((2, 3, 2, math.nan), "separation=nan must be finite and nonnegative"),
+            ((2, 3, 2, math.inf), "separation=inf must be finite and nonnegative"),
+            ((2, 3, 2, -1.0), "separation=-1.0 must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_argument_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_gaussian_mixture(*args, rng=0)
+
+    def test_numpy_integer_counts_and_zero_separation_accepted(self):
+        data, centers = gen_gaussian_mixture(np.int64(2), np.int32(3), np.uint8(2), 0.0, rng=0)
+        assert (data.n, data.d) == (6, 2)
+        assert not centers.any()

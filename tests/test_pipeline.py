@@ -13,7 +13,7 @@ from prone import pipeline, seeding1d
 from prone._util import StageClock
 from prone.baseline import cost_with_nearest, kmeanspp_seed
 from prone.dataset import as_dataset, gen_gaussian_mixture
-from prone.pipeline import ProneConfig, ProneResult, prone, prone_center_cost
+from prone.pipeline import ProneConfig, ProneResult, prone
 from prone.projection import VARIANTS
 from prone.seeding1d import seed_1d_fast
 
@@ -70,7 +70,7 @@ class TestProne:
     def test_exhausted_duplicates(self):
         data = as_dataset([[1.0], [1.0], [1.0], [5.0]])
         res = prone(data, ProneConfig(k=4, seed=0))
-        assert res.exhausted
+        assert res.seeding.exhausted
         assert res.model.k == 2
 
     def test_k_greater_than_n_rejected(self):
@@ -107,7 +107,7 @@ class TestProne:
         pts = data.to_dense()
         want = prone(pts, ProneConfig(k=5, seed=0))
         got = prone(pts * scale, ProneConfig(k=5, seed=0))
-        assert got.seeding.k_found == 5 and not got.exhausted
+        assert got.seeding.k_found == 5 and not got.seeding.exhausted
         np.testing.assert_array_equal(got.seeding.center_indices, want.seeding.center_indices)
         np.testing.assert_array_equal(got.model.assignment, want.model.assignment)
 
@@ -274,20 +274,21 @@ class TestProneCenterCost:
         data, _ = gen_gaussian_mixture(6, 50, 5, 50.0, rng=5)
         for seed in range(10):
             res = prone(data, ProneConfig(k=6, seed=seed))
-            assert prone_center_cost(data, res) <= res.model.cost + 1e-9
+            assert cost_with_nearest(data, res.model.centers, res.model.z) <= res.model.cost + 1e-9
 
     def test_k_equals_n(self):
         pts = np.random.default_rng(3).standard_normal((7, 2))
         data = as_dataset(pts)
         res = prone(data, ProneConfig(k=7, seed=1))
-        assert prone_center_cost(data, res) == 0.0
+        assert cost_with_nearest(data, res.model.centers, res.model.z) == 0.0
 
     def test_matches_direct_nearest_cost(self):
         data, _ = gen_gaussian_mixture(4, 25, 3, 30.0, rng=6)
         res = prone(data, ProneConfig(k=4, seed=3))
-        assert prone_center_cost(data, res) == pytest.approx(
-            cost_with_nearest(data, res.model.centers, 2.0), rel=1e-12
-        )
+        # against a brute-force minimum over every (point, center) pair
+        pts, centers = data.to_dense(), res.model.centers
+        direct = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1).sum()
+        assert cost_with_nearest(data, centers, res.model.z) == pytest.approx(direct, rel=1e-12)
 
 
 class TestStageClock:

@@ -388,6 +388,23 @@ class TestWindowScan:
             assert lo == max(center - runs[0], 0)
             assert last == min(center + runs[1], xs.size - 1)
 
+    def test_long_scan_peak_is_bounded(self):
+        # one improving run over 2**20 points (8 MiB of values): the scan's
+        # blocks stop doubling, so its temporaries stay well under 1 MiB
+        n = 2**20
+        xs = np.arange(n, dtype=np.float64)
+        a = np.full(n, np.inf)
+        a[0] = 0.0
+        tracemalloc.start()
+        try:
+            lo, hi = _improve(xs, a, 0, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (lo, hi) == (0, n)
+        assert a.tobytes() == (xs * xs).tobytes()
+        assert peak < 2**20
+
 
 class TestRandomStream:
     """``seed_1d_fast`` draws its uniforms in one batch; the stream must not notice."""
