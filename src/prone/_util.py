@@ -10,6 +10,10 @@ shared by everything that samples proportionally to powered distances.
 Every such draw, and the coreset's batch of draws, maps its scaled uniform
 to an index through the one rule in :func:`inverse_cdf`.
 
+Every argument of a public entry point goes through one rule here (arrays
+through :func:`as_float64` and :func:`check_finite`, labels through
+:func:`check_assignment`), whose ``ValueError`` starts with the parameter's name.
+
 Every timed stage, in the library and the CLI, is a lap of one :class:`StageClock`.
 """
 
@@ -22,11 +26,14 @@ import numpy as np
 
 __all__ = [
     "as_generator",
+    "as_float64",
+    "check_finite",
+    "check_assignment",
     "check_k",
-    "check_s",
     "check_seed",
     "check_z",
     "check_fraction",
+    "check_nonnegative",
     "check_masses",
     "power_abs",
     "mass_values",
@@ -40,11 +47,43 @@ def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Gene
     """Coerce a seed (or None) into a counter-based numpy Generator.
 
     Callers own their randomness: passing an existing Generator uses it
-    as-is, anything else seeds a fresh Philox stream.
+    as-is, anything else is a :func:`check_seed` seed of a fresh Philox stream.
     """
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.Generator(np.random.Philox(rng))
+    return np.random.Generator(np.random.Philox(check_seed(rng)))
+
+
+def _check_real(dtype: np.dtype, name: str) -> None:
+    """Raise unless ``dtype`` is bool, integer or real floating point."""
+    # a float64 cast would drop an imaginary part, parse strings and call __float__
+    if dtype.kind == "c":
+        raise ValueError(f"{name} must be real, not complex")
+    if dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be numeric, not dtype {dtype}")
+
+
+def as_float64(values, name: str, order=None) -> np.ndarray:
+    """``values`` as float64 if their dtype is real; a float64 array is not copied."""
+    a = np.asarray(values)
+    _check_real(a.dtype, name)
+    return np.asarray(a, dtype=np.float64, order=order)
+
+
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Raise unless ``values`` are finite: NaN propagates to min and max, an infinity is one."""
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError(f"{name} must be finite")
+
+
+def check_assignment(assignment, n: int, k: int) -> np.ndarray:
+    """Return ``assignment`` as intp if it holds one integer in [0, k) per point."""
+    sigma = np.asarray(assignment)
+    if sigma.shape != (n,):
+        raise ValueError("assignment must have one entry per point")
+    if sigma.dtype.kind not in "iu" or sigma.min() < 0 or sigma.max() >= k:
+        raise ValueError(f"assignment must hold integers in [0, {k})")
+    return sigma.astype(np.intp, copy=False)
 
 
 def _check_integer(value, name: str) -> None:
@@ -65,11 +104,6 @@ def _check_count(value, name: str) -> None:
     _check_integer(value, name)
     if value < 1:
         raise ValueError(f"{name}={value} must be >= 1")
-
-
-def check_s(s) -> None:
-    """Raise unless the coreset size ``s`` is an integer >= 1."""
-    _check_count(s, "s")
 
 
 def check_seed(seed):
@@ -102,19 +136,24 @@ def check_fraction(value, name: str):
     return value
 
 
+def check_nonnegative(value, name: str):
+    """Return ``value`` unchanged if it is finite and >= 0, else raise."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name}={value} must be finite and nonnegative")
+    return value
+
+
 def check_masses(masses, n: int, name: str) -> np.ndarray:
     """Return ``masses`` as float64 if a draw proportional to it is defined.
 
     That needs one finite, nonnegative entry per point and a positive
     total; anything else is rejected with ``name`` in the message.
     """
-    # the float64 cast would drop the imaginary part, with only a warning
-    if np.iscomplexobj(masses):
-        raise ValueError(f"{name} must be real, not complex")
-    m = np.asarray(masses, dtype=np.float64)
+    m = as_float64(masses, name)
     if m.shape != (n,):
         raise ValueError(f"{name} must have one entry per point")
-    if not np.isfinite(m).all() or (m < 0).any():
+    # NaN and negatives fail the first test, +inf the second (-0.0 passes)
+    if not (m.min() >= 0.0 and m.max() < math.inf):
         raise ValueError(f"{name} must be finite and nonnegative")
     if not m.sum() > 0:
         raise ValueError(f"{name} must not all be zero")

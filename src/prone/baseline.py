@@ -21,9 +21,9 @@ reproduces ``seed_1d_naive`` draw for draw. Its distances come from the
 cost kernel on dense rows and from one sparse product per center on CSR.
 
 Every entry point coerces its points through :func:`prone.dataset.as_dataset`
-(a Dataset, an (n, d) array or a sparse matrix), so non-finite or non-2-D
-input is rejected the same way everywhere. Every ``weights`` goes through
-``check_masses``, so bad weights raise a ``ValueError`` naming them.
+(a Dataset, an (n, d) array or a sparse matrix) and every other argument,
+``weights`` before any pass over the data, through its rule in
+:mod:`prone._util`, so a bad one raises a ``ValueError`` naming it.
 
 ``lloyd_iterate`` is plain Lloyd for z = 2 with weighted variants for
 coresets. Empty clusters are repaired by relocating the center to the
@@ -38,7 +38,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import as_generator, check_k, check_masses, check_z, inverse_cdf, padded_pairwise_sum
+from ._util import (
+    _check_count, as_float64, as_generator, check_assignment, check_finite, check_k, check_masses,
+    check_nonnegative, check_z, inverse_cdf, padded_pairwise_sum,
+)
 from .dataset import as_dataset
 
 __all__ = [
@@ -69,7 +72,7 @@ class ClusteringModel:
 
     @property
     def k(self) -> int:
-        return int(self.centers.shape[0])
+        return len(self.centers)
 
 
 def _power_from_sq(d2: np.ndarray, z: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -83,14 +86,15 @@ def _power_from_sq(d2: np.ndarray, z: float, out: np.ndarray | None = None) -> n
     return p
 
 
-def _check_centers(centers) -> np.ndarray:
-    c = np.asarray(centers, dtype=np.float64)
+def _check_centers(centers, d: int) -> np.ndarray:
+    c = as_float64(centers, "centers")
     if c.ndim == 1:
         c = c[:, None]
     if c.ndim != 2 or c.shape[0] == 0:
         raise ValueError("centers must be a non-empty (k, d) array")
-    if not np.isfinite(c).all():
-        raise ValueError("centers must be finite")
+    if c.shape[1] != d:
+        raise ValueError(f"centers must have d={d} columns, not {c.shape[1]}")
+    check_finite(c, "centers")
     return c
 
 
@@ -116,10 +120,8 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     """
     data = as_dataset(points)
     mat, sparse = data.points, data.is_sparse
-    c = _check_centers(centers)
+    c = _check_centers(centers, data.d)
     n, k = data.n, c.shape[0]
-    if c.shape[1] != data.d:
-        raise ValueError("dimension mismatch between points and centers")
     chunk = _block_rows(max(k, _row_width(data)))
     origin = c.mean(axis=0)
     shifted = c - origin
@@ -138,17 +140,18 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     return assignment, pointwise_assignment_costs(data, c, assignment)
 
 
-def _weighted_total(terms: np.ndarray, weights) -> float:
-    """Sum of ``terms``, each times its weight when ``weights`` is given."""
-    if weights is not None:
-        terms = terms * check_masses(weights, terms.size, "weights")
-    return float(np.sum(terms))
+def _weighted_total(terms: np.ndarray, w: np.ndarray | None) -> float:
+    """Sum of ``terms``, each times its checked weight when ``w`` is given."""
+    return float(np.sum(terms if w is None else terms * w))
 
 
 def cost_with_nearest(points, centers, z: float = 2.0, weights=None) -> float:
     """Sum of powered distances to each point's nearest center (O(ndk))."""
-    _, d2 = nearest_assignment(points, centers)
-    return _weighted_total(_power_from_sq(d2, z), weights)
+    check_z(z)
+    data = as_dataset(points)
+    w = None if weights is None else check_masses(weights, data.n, "weights")
+    _, d2 = nearest_assignment(data, centers)
+    return _weighted_total(_power_from_sq(d2, z), w)
 
 
 def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> np.ndarray:
@@ -166,15 +169,12 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
     to 0 and others are off by up to 1024, while the median true squared
     distance is 2.3. Dense rows take differences and have no such limit.
     """
+    check_z(z)
     data = as_dataset(points)
     mat, sparse = data.points, data.is_sparse
-    c = _check_centers(centers)
-    sigma = np.asarray(assignment)
+    c = _check_centers(centers, data.d)
     n = data.n
-    if sigma.shape != (n,):
-        raise ValueError("assignment must have one entry per point")
-    if sigma.size and (sigma.min() < 0 or sigma.max() >= c.shape[0]):
-        raise ValueError("assignment references a center outside [0, k)")
+    sigma = check_assignment(assignment, n, c.shape[0])
     d2 = np.empty(n, dtype=np.float64)
     chunk = _block_rows(_row_width(data))
     if sparse:
@@ -204,7 +204,9 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
 
 def cost_with_assignment(points, centers, assignment, z: float = 2.0, weights=None) -> float:
     """Cost of a fixed assignment: sum of powered distances to assigned centers."""
-    return _weighted_total(pointwise_assignment_costs(points, centers, assignment, z), weights)
+    data = as_dataset(points)
+    w = None if weights is None else check_masses(weights, data.n, "weights")
+    return _weighted_total(pointwise_assignment_costs(data, centers, assignment, z), w)
 
 
 def _sq_dists_to(data, i: int, one: np.ndarray, xn: np.ndarray | None) -> np.ndarray:
@@ -277,14 +279,9 @@ def centers_of_mass(
     """
     data = as_dataset(points)
     mat, sparse = data.points, data.is_sparse
-    sigma = np.asarray(assignment)
     n, d = data.n, data.d
-    if sigma.shape != (n,):
-        raise ValueError("assignment must have one entry per point")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if sigma.size and (sigma.min() < 0 or sigma.max() >= k):
-        raise ValueError("assignment references a cluster outside [0, k)")
+    _check_count(k, "k")
+    sigma = check_assignment(assignment, n, k)
     w = np.ones(n) if weights is None else check_masses(weights, n, "weights")
     # unweighted, the counts are these sums without adding n ones
     wsum = np.bincount(sigma, weights=None if weights is None else w, minlength=k)
@@ -329,11 +326,11 @@ def lloyd_iterate(
     """
     if model.z != 2:
         raise ValueError("lloyd_iterate supports z=2 only")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    _check_count(max_iters, "max_iters")
+    check_nonnegative(tol, "tol")
     points = as_dataset(points)  # once, not on every pass
     w = None if weights is None else check_masses(weights, points.n, "weights")
-    centers = np.array(model.centers, dtype=np.float64)
+    centers = _check_centers(model.centers, points.d)
     k = centers.shape[0]
     assignment, d2 = nearest_assignment(points, centers)
     cost = _weighted_total(d2, w)

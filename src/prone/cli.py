@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from ._util import StageClock, check_fraction, check_seed, check_z
+from ._util import StageClock, check_fraction, check_nonnegative, check_seed, check_z
 from .baseline import ClusteringModel, cost_with_nearest, kmeanspp_seed, lloyd_iterate
 from .coreset import (
     boosted_prone,
@@ -41,7 +41,6 @@ from .coreset import (
 )
 from .dataset import (
     Dataset,
-    _check_separation,
     gen_adversarial_gaussian,
     gen_gaussian_mixture,
     load_dense_csv,
@@ -418,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--k", type=_positive_int, required=True)
     pm.add_argument("--per-cluster", type=_positive_int, required=True)
     pm.add_argument("--d", type=_positive_int, required=True)
-    pm.add_argument("--separation", type=_checked(_check_separation, float), required=True)
+    pm.add_argument("--separation", required=True,
+                    type=_checked(partial(check_nonnegative, name="separation"), float))
     pm.add_argument("--seed", type=_checked(check_seed, int), default=0)
     pm.add_argument("--out", required=True)
     pm.set_defaults(func=cmd_gen)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    StageClock, as_generator, check_fraction, check_masses, check_s, check_z, inverse_cdf,
-    padded_pairwise_sum,
+    StageClock, _check_count, as_generator, check_assignment, check_fraction, check_masses,
+    check_z, inverse_cdf, padded_pairwise_sum,
 )
 from .baseline import (
     ClusteringModel,
@@ -82,9 +82,7 @@ def sensitivity_distribution(points, model: ClusteringModel) -> np.ndarray:
     clusters, so probabilities divide by that analytic total.
     """
     mat = as_dataset(points)
-    if model.assignment is None:
-        raise ValueError("model must carry an assignment")
-    sigma = np.asarray(model.assignment)
+    sigma = check_assignment(model.assignment, mat.n, model.k)
     costs = pointwise_assignment_costs(mat, model.centers, sigma, model.z)
     return _sensitivity_from_costs(costs, sigma, model.k)
 
@@ -138,7 +136,7 @@ def sample_coreset(points, probabilities, s: int, rng=None) -> WeightedCoreset:
     be relative masses: draws and weights divide by the same total.
     """
     data = as_dataset(points)
-    check_s(s)
+    _check_count(s, "s")
     p = check_masses(probabilities, data.n, "probabilities")
     rng = as_generator(rng)
     total = padded_pairwise_sum(p)

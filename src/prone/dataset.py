@@ -15,12 +15,13 @@ Parse errors name the offending line. Writing a dense dataset uses full
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import _check_count, as_generator
+from ._util import (
+    _check_count, _check_real, as_float64, as_generator, check_finite, check_nonnegative,
+)
 
 __all__ = [
     "Dataset",
@@ -56,27 +57,19 @@ class Dataset:
 
     def __init__(self, mat) -> None:
         self.is_sparse = sp.issparse(mat)
-        mat = mat if self.is_sparse else np.asarray(mat)
-        # the float64 cast would drop imaginary parts, parse strings and call __float__
-        if mat.dtype.kind == "c":
-            raise ValueError("points must be real, not complex")
-        if mat.dtype.kind not in "biuf":
-            raise ValueError(f"points must be numeric, not dtype {mat.dtype}")
         if self.is_sparse:
+            _check_real(mat.dtype, "points")
             m = mat.tocsr().astype(np.float64)
             # canonical: sorted indices, each (row, column) stored at most once
             m.sum_duplicates()
             values = m.data
         else:
             # a view, so that freezing it leaves a caller's own array writeable
-            m = values = np.ascontiguousarray(mat, dtype=np.float64).view()
+            m = values = as_float64(mat, "points", order="C").view()
             if m.ndim != 2:
                 raise ValueError("expected a 2-D array of points")
             m.setflags(write=False)
-        # NaN propagates through min and max, and an infinity is one of them,
-        # so two passes check every value without an n x d bool array
-        if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
-            raise ValueError("points must be finite")
+        check_finite(values, "points")
         self._mat = m
         if self.n < 1 or self.d < 1:
             raise ValueError("dataset must have n >= 1 points and d >= 1 dimensions")
@@ -283,13 +276,6 @@ def gen_adversarial_gaussian(m: int, rng=None) -> Dataset:
     return Dataset(pts)
 
 
-def _check_separation(separation):
-    """Return ``separation`` unchanged if it is finite and >= 0, else raise."""
-    if not (separation >= 0 and math.isfinite(separation)):
-        raise ValueError(f"separation={separation} must be finite and nonnegative")
-    return separation
-
-
 def gen_gaussian_mixture(
     k: int, per_cluster: int, d: int, separation: float, rng=None
 ) -> tuple[Dataset, np.ndarray]:
@@ -301,7 +287,7 @@ def gen_gaussian_mixture(
     """
     for name, count in (("k", k), ("per_cluster", per_cluster), ("d", d)):
         _check_count(count, name)
-    _check_separation(separation)
+    check_nonnegative(separation, "separation")
     rng = as_generator(rng)
     centers = rng.uniform(0.0, separation, size=(k, d))
     noise = rng.standard_normal((k * per_cluster, d))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_generator
+from ._util import as_float64, as_generator, check_finite
 from .dataset import as_dataset
 
 __all__ = ["VARIANTS", "sample_direction", "project"]
@@ -84,7 +84,8 @@ def sample_direction(data, variant: str = "standard", rng=None) -> np.ndarray:
 def project(data, direction) -> np.ndarray:
     """Project every point onto ``direction``: returns the length-n array X v."""
     data = as_dataset(data)
-    v = np.asarray(direction, dtype=np.float64)
+    v = as_float64(direction, "direction")
     if v.shape != (data.d,):
         raise ValueError(f"direction has shape {v.shape}, data dimension is {data.d}")
+    check_finite(v, "direction")
     return np.asarray(data.points @ v).ravel()

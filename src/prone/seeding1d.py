@@ -52,6 +52,7 @@ identical centers and assignments, which the tests assert index for index.
 
 If the remaining total mass hits zero before k draws (fewer than k
 distinct values), both return k' < k centers and set ``exhausted``.
+Both check their arguments with the rules in :mod:`prone._util`.
 
 Both compute masses on :func:`~prone._util.mass_values` of the sorted
 points, which rescales values of extreme magnitude by a power of two, so
@@ -78,7 +79,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    as_generator, check_k, check_z, inverse_cdf, mass_values, padded_pairwise_sum, power_abs,
+    as_float64, as_generator, check_finite, check_k, check_z, inverse_cdf, mass_values,
+    padded_pairwise_sum, power_abs,
 )
 
 __all__ = [
@@ -232,8 +234,7 @@ class SamplingTree:
         # NaN and negatives fail the first test, +inf the second; the exact
         # message is worked out only on failure (-0.0 passes)
         if not (vals.min() >= 0.0 and vals.max() < math.inf):
-            if not np.isfinite(vals).all():
-                raise ValueError("masses must be finite")
+            check_finite(vals, "masses")
             raise ValueError("masses must be nonnegative")
         nodes = self._nodes
         view = self._view
@@ -271,13 +272,15 @@ class SamplingTree:
                 raise AssertionError(f"node {idx}: stored {nodes[idx]!r} != children {expect!r}")
 
 
-def _validate(points: np.ndarray, k: int, z: float) -> None:
-    if points.ndim != 1 or points.size == 0:
+def _validate(points, k: int, z: float) -> np.ndarray:
+    """``points`` as float64 (not copied if they are) once every argument passes."""
+    xs = as_float64(points, "points")
+    if xs.ndim != 1 or xs.size == 0:
         raise ValueError("points must be a non-empty 1-D array")
-    if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
-    check_k(k, points.size)
+    check_finite(xs, "points")
+    check_k(k, xs.size)
     check_z(z)
+    return xs
 
 
 def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +377,7 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
 
 def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DResult, SeedingStats]:
     """Tree-backed 1-D seeding in expected O(n log n) total work."""
-    xs_in = np.asarray(points, dtype=np.float64)
-    _validate(xs_in, k, z)
+    xs_in = _validate(points, k, z)
     rng = as_generator(rng)
     n = xs_in.size
 
@@ -441,8 +443,7 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
     assignment is the first minimum of the (n, k') table of powered
     distances, with centers in selection order.
     """
-    xs_in = np.asarray(points, dtype=np.float64)
-    _validate(xs_in, k, z)
+    xs_in = _validate(points, k, z)
     rng = as_generator(rng)
     n = xs_in.size
 
