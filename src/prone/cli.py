@@ -15,8 +15,10 @@ start from the same derived seed so that cost ratios and speedups are
 paired, and ``cluster --seed S --k K`` starts from bench's (K, rep 0) seed,
 so it reproduces that cell. Every command reads its input file afresh,
 once. bench runs its cells one after another in the calling process.
-Nothing pins the BLAS thread count, so a cell's matrix products may use
-several threads; compare wall-clock times only between runs on the same host.
+Nothing pins the BLAS library's own worker threads, so a cell's matrix
+products may use several, and the library's full-data passes run on up to
+two CPUs of the affinity mask (``taskset`` limits both); compare wall-clock
+times only between runs on the same host.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
 """Tests for d-dimensional costs, k-means++ seeding, center updates, and Lloyd refinement."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,12 @@ from prone.baseline import (
 )
 from prone.dataset import as_dataset
 from prone.seeding1d import seed_1d_naive
+
+
+def with_workers(*values):
+    """Each value at 1 worker under its own id, then each at 4 workers."""
+    return [pytest.param(v, w, id=str(v) if w == 1 else f"{v}-4workers")
+            for w in (1, 4) for v in values]
 
 
 def brute_force_nearest_cost(pts, centers, z):
@@ -244,6 +256,116 @@ class TestBitIdenticalToReferences:
         np.testing.assert_array_equal(got[1], want[1])
 
 
+class TestWorkers:
+    N = 1009  # prime, so no block or span length below divides it
+
+    @pytest.fixture(params=[False, True], ids=["dense", "csr"])
+    def instance(self, request):
+        rng = np.random.default_rng(8)
+        mat = rng.standard_normal((self.N, 5))
+        if request.param:
+            mat[rng.random(mat.shape) < 0.5] = 0.0
+            mat = sp.csr_matrix(mat)
+        distinct = rng.standard_normal((5, 5))
+        # centers 3 and 6 repeat centers 1 and 0, so their points tie
+        return mat, distinct[[0, 1, 2, 1, 3, 4, 0]]
+
+    def test_results_do_not_depend_on_worker_count(self, instance, force_workers, monkeypatch):
+        mat, centers = instance
+        # blocks of 24 rows on one worker, and of 12, 8 and 6 on two, three and four
+        monkeypatch.setattr(baseline, "_block_rows", lambda width: 24)
+        runs = {}
+        interval = sys.getswitchinterval()
+        # threads switch often, so a lost or misplaced block write would show
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in (1, 2, 3, 4):
+                force_workers(w)
+                assert baseline._plan(self.N, 5) == (w, 24 // w)
+                labels, d2 = nearest_assignment(mat, centers)
+                seeded = kmeanspp_seed(mat, 12, 2.0, rng=5)
+                runs[w] = [
+                    labels,
+                    d2,
+                    pointwise_assignment_costs(mat, centers, labels[::-1], 3.0),
+                    cost_with_nearest(mat, centers, 1.0),
+                    seeded.centers,
+                    seeded.assignment,
+                    seeded.cost,
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        for w in (2, 3, 4):
+            for got, want in zip(runs[w], runs[1]):
+                np.testing.assert_array_equal(got, want)
+        # points of centers 0 and 1 tie, and every tie went to the first center
+        labels = runs[1][0]
+        assert np.isin(labels, [0, 1]).any()
+        assert not np.isin(labels, [3, 6]).any()
+
+    def test_threads_are_joined_before_return(self, force_workers):
+        force_workers(2)
+        seen = set()
+        before = threading.active_count()
+        baseline._run_blocks(2**18, 1, lambda lo, hi, buf: seen.add(threading.get_ident()))
+        assert len(seen) == 2
+        assert threading.active_count() == before
+        X = np.random.default_rng(0).standard_normal((50_000, 4))
+        assert baseline._plan(len(X), 4)[0] == 2
+        nearest_assignment(X, X[:3])
+        assert threading.active_count() == before
+
+    def test_a_worker_exception_reaches_the_caller(self, force_workers):
+        # 8 blocks of 2**15 rows; the second span starts at block 4
+        force_workers(2)
+        n, done = 2**18, []
+
+        def run_block(lo, hi, buf):
+            if lo >= n // 2:
+                where = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+                raise RuntimeError(f"block {lo} on the {where}")
+            done.append(lo)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^block {n // 2} on the worker$"):
+            baseline._run_blocks(n, 1, run_block)
+        assert done == [0, 2**15, 2 * 2**15, 3 * 2**15]
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_threaded_pass_runs_its_own(self):
+        # Python 3.12 warns when it forks a process with live threads, an
+        # error under -W error. BLAS is held to one thread, so the runner's
+        # are the only threads that could be alive at the fork. The child
+        # kills itself with SIGALRM if its pass hangs
+        script = textwrap.dedent("""
+            import os
+            import signal
+
+            import numpy as np
+
+            from prone import baseline
+
+            baseline._cpus = lambda: 2
+            X = np.random.default_rng(0).standard_normal((50_000, 4))
+            assert baseline._plan(len(X), 4)[0] == 2
+            labels, _ = baseline.nearest_assignment(X, X[:3])
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                again, _ = baseline.nearest_assignment(X, X[:3])
+                os._exit(0 if np.array_equal(again, labels) else 3)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+        """)
+        src = str(Path(baseline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestNearestAssignment:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), sparse=st.booleans(), shift=st.sampled_from([1e9, -1e9]))
@@ -267,8 +389,10 @@ class TestNearestAssignment:
             diff = pts - shifted_centers[truth]
             np.testing.assert_array_equal(d2, np.einsum("ij,ij->i", diff, diff))
 
-    def test_temporaries_stay_small(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_temporaries_stay_small(self, workers, force_workers):
         # one n x k distance table would be 50 000 * 100 * 8 B = 40 MB
+        force_workers(workers)
         rng = np.random.default_rng(4)
         pts = as_dataset(rng.standard_normal((50_000, 16)))
         centers = rng.standard_normal((100, 16))
@@ -296,10 +420,11 @@ class TestCosts:
         cost = cost_with_assignment(pts, centers, np.array([1, 0]), z=2)
         assert cost == 8.0
 
-    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
-    def test_dense_cost_kernel_peak_memory(self, z):
+    @pytest.mark.parametrize("z, workers", with_workers(1.0, 2.0, 3.0))
+    def test_dense_cost_kernel_peak_memory(self, z, workers, force_workers):
         # the output plus one block buffer of 2**16 values: the gather writes
         # straight into the buffer, and the clamp and the power reuse the output
+        force_workers(workers)
         n, d = 200_000, 16
         rng = np.random.default_rng(6)
         pts = as_dataset(rng.standard_normal((n, d)))
@@ -364,11 +489,12 @@ class TestCosts:
         per = pointwise_assignment_costs(pts, centers, np.array([0, 1]), z=2)
         assert per.tolist() == [0.0, 4.0]
 
-    @pytest.mark.parametrize("k", [2, 40])
-    def test_peak_memory_at_high_d_holds_no_copy_of_x(self, k):
+    @pytest.mark.parametrize("k, workers", with_workers(2, 40))
+    def test_peak_memory_at_high_d_holds_no_copy_of_x(self, k, workers, force_workers):
         # X takes 32 MB; blocks hold about 2**16 values whatever d and k are,
         # so the peak is the labels, the distances and a few blocks. Blocks
         # sized by k alone would shift all of X by the origin at once at k = 2
+        force_workers(workers)
         n, d = 8_000, 500
         rng = np.random.default_rng(12)
         pts = as_dataset(rng.standard_normal((n, d)))
@@ -393,11 +519,12 @@ class TestCosts:
 
 
 class TestKmeansppSeed:
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_peak_memory_holds_no_copy_of_x(self, sparse):
+    @pytest.mark.parametrize("sparse, workers", with_workers(False, True))
+    def test_peak_memory_holds_no_copy_of_x(self, sparse, workers, force_workers):
         # a few n-length arrays (distances, labels, masses and their prefix
         # sums) plus one block of 2**16 values of the cost kernel; no n x d
         # difference array (dense) and no elementwise square of X (CSR)
+        force_workers(workers)
         n, d = 100_000, 32
         rng = np.random.default_rng(3)
         if sparse:

@@ -103,14 +103,18 @@ class TestLightweightDistribution:
         dense = lightweight_distribution(mat.toarray())
         np.testing.assert_allclose(lightweight_distribution(mat), dense, rtol=1e-12)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_holds_no_copy_of_x(self, sparse):
+    @pytest.mark.parametrize("sparse, workers", [
+        pytest.param(s, w, id=str(s) if w == 1 else f"{s}-4workers")
+        for w in (1, 4) for s in (False, True)
+    ])
+    def test_holds_no_copy_of_x(self, sparse, workers, force_workers):
         # X takes 40 MB dense and 12 MB as CSR; the distances to the mean
         # need the distances, the labels and one kernel block of 2**16
         # stored values, not a centered or squared copy of X. The block is
         # one float64 buffer for dense rows; for CSR it is about eight value
         # and index temporaries per stored value. The probabilities are
-        # written over the distances
+        # written over the distances. Workers share the block budget
+        force_workers(workers)
         n, d = 100_000, 50
         mat = sp.random(n, d, density=0.2, format="csr", random_state=5)
         data = as_dataset(mat if sparse else mat.toarray())
