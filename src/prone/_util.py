@@ -12,7 +12,8 @@ to an index through the one rule in :func:`inverse_cdf`.
 
 Every argument of a public entry point goes through one rule here (arrays
 through :func:`as_float64` and :func:`check_finite`, labels through
-:func:`check_assignment`), whose ``ValueError`` starts with the parameter's name.
+:func:`check_assignment`), whose ``ValueError`` starts with the parameter's name,
+once per public call: library code holding checked arrays calls private cores.
 
 Every timed stage, in the library and the CLI, is a lap of one :class:`StageClock`.
 """

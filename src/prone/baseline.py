@@ -32,7 +32,10 @@ cost kernel on dense rows and from one sparse product per center on CSR.
 Every entry point coerces its points through :func:`prone.dataset.as_dataset`
 (a Dataset, an (n, d) array or a sparse matrix) and every other argument,
 ``weights`` before any pass over the data, through its rule in
-:mod:`prone._util`, so a bad one raises a ``ValueError`` naming it.
+:mod:`prone._util`, so a bad one raises a ``ValueError`` naming it. Each
+rule runs once per public call: a public kernel is its checks plus one call
+to a private core (``_nearest``, ``_assigned_costs``, ``_centers_of_mass``),
+and library code holding checked arrays, like the Lloyd loop, calls the core.
 
 ``lloyd_iterate`` is plain Lloyd for z = 2 with weighted variants for
 coresets. Empty clusters are repaired by relocating the center to the
@@ -99,8 +102,6 @@ def _power_from_sq(d2: np.ndarray, z: float, out: np.ndarray | None = None) -> n
 
 def _check_centers(centers, d: int) -> np.ndarray:
     c = as_float64(centers, "centers")
-    if c.ndim == 1:
-        c = c[:, None]
     if c.ndim != 2 or c.shape[0] == 0:
         raise ValueError("centers must be a non-empty (k, d) array")
     if c.shape[1] != d:
@@ -205,8 +206,12 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
     the one :func:`pointwise_assignment_costs` gives for that assignment.
     """
     data = as_dataset(points)
+    return _nearest(data, _check_centers(centers, data.d))
+
+
+def _nearest(data, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nearest_assignment` on a Dataset and checked centers."""
     mat, sparse = data.points, data.is_sparse
-    c = _check_centers(centers, data.d)
     n, (k, d) = data.n, c.shape
     origin = c.mean(axis=0)
     shifted = c - origin
@@ -231,7 +236,7 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
 
     buffers = None if sparse else lambda rows: (np.empty((rows, d)), np.empty((rows, k)))
     _run_blocks(n, max(k, _row_width(data)), run_block, buffers)
-    return assignment, pointwise_assignment_costs(data, c, assignment)
+    return assignment, _assigned_costs(data, c, assignment, 2.0)
 
 
 def _weighted_total(terms: np.ndarray, w: np.ndarray | None) -> float:
@@ -265,10 +270,13 @@ def pointwise_assignment_costs(points, centers, assignment, z: float = 2.0) -> n
     """
     check_z(z)
     data = as_dataset(points)
-    mat, sparse = data.points, data.is_sparse
     c = _check_centers(centers, data.d)
-    n = data.n
-    sigma = check_assignment(assignment, n, c.shape[0])
+    return _assigned_costs(data, c, check_assignment(assignment, data.n, c.shape[0]), z)
+
+
+def _assigned_costs(data, c: np.ndarray, sigma: np.ndarray, z: float) -> np.ndarray:
+    """:func:`pointwise_assignment_costs` on a Dataset, checked centers and intp labels."""
+    mat, sparse, n = data.points, data.is_sparse, data.n
     d2 = np.empty(n, dtype=np.float64)
     if sparse:
         cn = np.einsum("ij,ij->i", c, c)
@@ -306,7 +314,7 @@ def cost_with_assignment(points, centers, assignment, z: float = 2.0, weights=No
 def _sq_dists_to(data, i: int, one: np.ndarray, xn: np.ndarray | None) -> np.ndarray:
     """Squared distances of all points to point ``i``; ``one`` assigns each to center 0."""
     if not data.is_sparse:
-        return pointwise_assignment_costs(data, data.rows([i]), one)
+        return _assigned_costs(data, data.rows([i]), one, 2.0)
     # the kernel's gather of one center entry per stored value is far slower
     c = data.rows(i)
     return np.maximum(xn - 2.0 * np.asarray(data.points @ c).ravel() + c @ c, 0.0)
@@ -327,7 +335,7 @@ def kmeanspp_seed(points, k: int, z: float = 2.0, rng=None, weights=None) -> Clu
     rng = as_generator(rng)
     one = np.zeros(n, dtype=np.intp)
     # squared row norms: the kernel's distances to the origin
-    xn = pointwise_assignment_costs(data, np.zeros((1, data.d)), one) if data.is_sparse else None
+    xn = _assigned_costs(data, np.zeros((1, data.d)), one, 2.0) if data.is_sparse else None
 
     if w is None:
         first = int(rng.integers(n))
@@ -372,19 +380,25 @@ def centers_of_mass(
     the lift is O(nnz + kd) for dense and sparse input alike.
     """
     data = as_dataset(points)
+    _check_count(k, "k")
+    sigma = check_assignment(assignment, data.n, k)
+    w = None if weights is None else check_masses(weights, data.n, "weights")
+    return _centers_of_mass(data, sigma, k, w)
+
+
+def _centers_of_mass(data, sigma: np.ndarray, k: int, w: np.ndarray | None):
+    """:func:`centers_of_mass` on a Dataset, intp labels and checked weights or None."""
     mat, sparse = data.points, data.is_sparse
     n, d = data.n, data.d
-    _check_count(k, "k")
-    sigma = check_assignment(assignment, n, k)
-    w = np.ones(n) if weights is None else check_masses(weights, n, "weights")
     # unweighted, the counts are these sums without adding n ones
-    wsum = np.bincount(sigma, weights=None if weights is None else w, minlength=k)
+    wsum = np.bincount(sigma, weights=w, minlength=k)
     # one-hot with one stored entry per point, so each sum adds its
     # cluster's points in input order, dense or sparse; its index arrays
     # come in the dtype scipy picks for this shape, so it copies neither
     idx = np.int32 if max(n, k) <= np.iinfo(np.int32).max else np.int64
+    values = np.ones(n) if w is None else w
     onehot = sp.csc_matrix(
-        (w, sigma.astype(idx, copy=False), np.arange(n + 1, dtype=idx)), shape=(k, n)
+        (values, sigma.astype(idx, copy=False), np.arange(n + 1, dtype=idx)), shape=(k, n)
     )
     sums = onehot @ mat
     if sparse:
@@ -393,11 +407,13 @@ def centers_of_mass(
     nonempty = wsum > 0
     centers = np.zeros((k, d), dtype=np.float64)
     centers[nonempty] = sums[nonempty] / wsum[nonempty, None]
+    # sums of finite points can overflow; raised before the relocation's pass
+    check_finite(centers, "points' cluster means")
     relocated = np.flatnonzero(~nonempty)
     if relocated.size:
         if not nonempty.any():
             raise ValueError("every cluster is empty")
-        _, d2 = nearest_assignment(data, centers[nonempty])
+        _, d2 = _nearest(data, centers[nonempty])
         far_order = np.argsort(d2)[::-1]
         centers[relocated] = data.rows(far_order[np.arange(relocated.size) % far_order.size])
     return centers, relocated
@@ -426,13 +442,13 @@ def lloyd_iterate(
     w = None if weights is None else check_masses(weights, points.n, "weights")
     centers = _check_centers(model.centers, points.d)
     k = centers.shape[0]
-    assignment, d2 = nearest_assignment(points, centers)
+    assignment, d2 = _nearest(points, centers)
     cost = _weighted_total(d2, w)
     if cost_trace is not None:
         cost_trace.append(cost)
     for _ in range(max_iters):
-        centers, _ = centers_of_mass(points, assignment, k, weights=w)
-        assignment, d2 = nearest_assignment(points, centers)
+        centers, _ = _centers_of_mass(points, assignment, k, w)
+        assignment, d2 = _nearest(points, centers)
         new_cost = _weighted_total(d2, w)
         if cost_trace is not None:
             cost_trace.append(new_cost)

@@ -37,15 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    StageClock, _check_count, as_generator, check_assignment, check_fraction, check_masses,
-    check_z, inverse_cdf, padded_pairwise_sum,
+    StageClock, _check_count, as_generator, check_assignment, check_finite, check_fraction,
+    check_masses, check_z, inverse_cdf, padded_pairwise_sum,
 )
 from .baseline import (
     ClusteringModel,
+    _assigned_costs,
+    _check_centers,
     _power_from_sq,
     kmeanspp_seed,
     nearest_assignment,
-    pointwise_assignment_costs,
 )
 from .dataset import as_dataset
 from .pipeline import ProneConfig, ProneResult, _prone
@@ -81,9 +82,9 @@ def sensitivity_distribution(points, model: ClusteringModel) -> np.ndarray:
     clustering has zero cost). Masses sum to 1 + k' for k' nonempty
     clusters, so probabilities divide by that analytic total.
     """
-    mat = as_dataset(points)
-    sigma = check_assignment(model.assignment, mat.n, model.k)
-    costs = pointwise_assignment_costs(mat, model.centers, sigma, model.z)
+    data = as_dataset(points)
+    sigma = check_assignment(model.assignment, data.n, model.k)
+    costs = _assigned_costs(data, _check_centers(model.centers, data.d), sigma, check_z(model.z))
     return _sensitivity_from_costs(costs, sigma, model.k)
 
 
@@ -117,7 +118,8 @@ def lightweight_distribution(points) -> np.ndarray:
     n = data.n
     # scipy's CSR ``mean`` copies the stored values; its ``sum`` does not
     mean = np.asarray(data.points.sum(axis=0)).ravel() / n
-    d2 = pointwise_assignment_costs(data, mean[None], np.zeros(n, dtype=np.intp))
+    check_finite(mean, "points' mean")
+    d2 = _assigned_costs(data, mean[None], np.zeros(n, dtype=np.intp), 2.0)
     total = float(d2.sum())
     if total > 0:
         d2 /= 2.0 * total

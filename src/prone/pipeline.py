@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import StageClock, as_generator, check_k, check_seed, check_z
-from .baseline import ClusteringModel, centers_of_mass, pointwise_assignment_costs
+from .baseline import ClusteringModel, _assigned_costs, centers_of_mass
 from .dataset import as_dataset
 from .projection import check_variant, sample_direction, project
 from .seeding1d import Seeding1DResult, SeedingStats, seed_1d_fast
@@ -88,7 +88,7 @@ def _prone(data, cfg: ProneConfig, rng=None) -> tuple[ProneResult, np.ndarray]:
         "seed", seed_1d_fast(clock.lap("project", project(data, direction)), cfg.k, cfg.z, gen)
     )
     centers, _ = clock.lap("lift", centers_of_mass(data, seeding.assignment, seeding.k_found))
-    point_costs = pointwise_assignment_costs(data, centers, seeding.assignment, cfg.z)
+    point_costs = _assigned_costs(data, centers, seeding.assignment, cfg.z)
     cost = float(np.sum(point_costs))
     clock.lap("assign")
 

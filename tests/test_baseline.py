@@ -27,7 +27,8 @@ from prone.baseline import (
     nearest_assignment,
     pointwise_assignment_costs,
 )
-from prone.dataset import as_dataset
+from prone.dataset import as_dataset, gen_gaussian_mixture
+from prone.pipeline import ProneConfig, prone
 from prone.seeding1d import seed_1d_naive
 
 
@@ -694,6 +695,38 @@ class TestPointsCoercion:
         lloyd_iterate(pts, model, max_iters=5)
         # one coercion of the raw array; every pass after it gets the Dataset back
         assert sum(c is pts for c in calls) == 1
+
+    @pytest.mark.parametrize("call, labels, centers", [
+        (lambda p: kmeanspp_seed(p, 20, z=2, rng=0), 0, 0),
+        (lambda p: nearest_assignment(p, p[:3]), 0, 1),
+        (lambda p: lloyd_iterate(p, ClusteringModel(p[:3], None, 0.0, 2.0), 5, tol=0), 0, 1),
+    ], ids=["kmeanspp_seed", "nearest_assignment", "lloyd_iterate"])
+    def test_arguments_checked_once(self, monkeypatch, call, labels, centers):
+        # counted as baseline looks the rules up; the loops call the private cores
+        calls = {"check_assignment": 0, "_check_centers": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(baseline, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(baseline, name, counted)
+        call(np.random.default_rng(1).standard_normal((50, 2)))
+        assert calls == {"check_assignment": labels, "_check_centers": centers}
+
+    def test_overflowing_means_rejected(self):
+        # finite points whose cluster sums overflow: the lift names the points
+        data, _ = gen_gaussian_mixture(5, 200, 3, 100.0, rng=1)
+        pts = data.points * 1.5e306
+        assert np.isfinite(pts).all()
+        message = "^points' cluster means must be finite$"
+        with pytest.raises(ValueError, match=message):
+            centers_of_mass(pts, np.repeat(np.arange(5), 200), 5)
+        with pytest.raises(ValueError, match=message):
+            prone(pts, ProneConfig(k=5, seed=0))
+        # the nearest pass before the first lift overflows at this scale too
+        model = ClusteringModel(pts[::200], None, 0.0, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            lloyd_iterate(pts, model)
 
 
 _BAD_WEIGHTS = {

@@ -82,6 +82,13 @@ _CASES = {
         "centers", lambda: cost_with_assignment(CSR, WIDE, np.zeros(3, dtype=int)),
         "centers must have d=2 columns, not 3",
     ),
+    "nearest_assignment-1d-centers": (
+        "centers", lambda: nearest_assignment(X, C[0]), "centers must be a non-empty (k, d) array"
+    ),
+    "pointwise_assignment_costs-1d-centers": (
+        "centers", lambda: pointwise_assignment_costs(X, C[0], LABELS),
+        "centers must be a non-empty (k, d) array",
+    ),
     "pointwise_assignment_costs-float-labels": (
         "assignment", lambda: pointwise_assignment_costs(X, C, LABELS.astype(float)),
         "assignment must hold integers in [0, 2)",

@@ -103,6 +103,13 @@ class TestLightweightDistribution:
         dense = lightweight_distribution(mat.toarray())
         np.testing.assert_allclose(lightweight_distribution(mat), dense, rtol=1e-12)
 
+    def test_overflowing_mean_rejected(self):
+        # finite points whose sum overflows would give NaN probabilities
+        pts = np.full((4, 2), 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^points' mean must be finite$"):
+                lightweight_distribution(pts)
+
     @pytest.mark.parametrize("sparse, workers", [
         pytest.param(s, w, id=str(s) if w == 1 else f"{s}-4workers")
         for w in (1, 4) for s in (False, True)
