@@ -21,6 +21,7 @@ Every timed stage, in the library and the CLI, is a lap of one :class:`StageCloc
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -116,29 +117,37 @@ def check_seed(seed):
     return seed
 
 
+def _check_number(value, name: str) -> None:
+    """Raise unless ``value`` is a real number; a bool would run as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name}={value!r} must be a number, not a bool")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} must be a number")
+
+
 def check_z(z):
     """Return ``z`` unchanged if it is a finite exponent >= 1, else raise.
 
     NaN and infinity would otherwise flow into the power transform and
-    surface as a nan or inf cost, or as an unrelated mass error; a bool
-    would run as z = 1.
+    surface as a nan or inf cost, or as an unrelated mass error.
     """
-    if isinstance(z, (bool, np.bool_)):
-        raise ValueError(f"z={z!r} must be a number, not a bool")
+    _check_number(z, "z")
     if not (z >= 1 and math.isfinite(z)):
         raise ValueError(f"z={z} must be finite and >= 1")
     return z
 
 
 def check_fraction(value, name: str):
-    """Return ``value`` unchanged if it is finite and > 0, else raise."""
+    """Return ``value`` unchanged if it is a finite number > 0, else raise."""
+    _check_number(value, name)
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name}={value} must be finite and positive")
     return value
 
 
 def check_nonnegative(value, name: str):
-    """Return ``value`` unchanged if it is finite and >= 0, else raise."""
+    """Return ``value`` unchanged if it is a finite number >= 0, else raise."""
+    _check_number(value, name)
     if not (value >= 0 and math.isfinite(value)):
         raise ValueError(f"{name}={value} must be finite and nonnegative")
     return value

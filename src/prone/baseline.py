@@ -236,7 +236,10 @@ def _nearest(data, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     buffers = None if sparse else lambda rows: (np.empty((rows, d)), np.empty((rows, k)))
     _run_blocks(n, max(k, _row_width(data)), run_block, buffers)
-    return assignment, _assigned_costs(data, c, assignment, 2.0)
+    d2 = _assigned_costs(data, c, assignment, 2.0)
+    # finite points can still overflow a distance, and then every label is 0
+    check_finite(d2, "points' squared distances to centers")
+    return assignment, d2
 
 
 def _weighted_total(terms: np.ndarray, w: np.ndarray | None) -> float:

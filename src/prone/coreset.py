@@ -38,7 +38,7 @@ import numpy as np
 
 from ._util import (
     StageClock, _check_count, as_generator, check_assignment, check_finite, check_fraction,
-    check_masses, check_z, inverse_cdf, padded_pairwise_sum,
+    check_k, check_masses, check_z, inverse_cdf, padded_pairwise_sum,
 )
 from .baseline import (
     ClusteringModel,
@@ -200,6 +200,7 @@ def boosted_prone(
     check_z(z)
     check_fraction(alpha, "alpha")
     data = as_dataset(data)
+    check_k(k, data.n)
     s = math.ceil(alpha * data.n)
     if s < k:
         raise ValueError(

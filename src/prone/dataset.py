@@ -48,8 +48,9 @@ class DatasetFormatError(ValueError):
 class Dataset:
     """Read-only set of n >= 1 points in R^d, dense or sparse rows.
 
-    A C-contiguous float64 array is wrapped without a copy: the Dataset
-    cannot write to it, but the caller still can, and values written
+    A C-contiguous float64 array or canonical float64 CSR matrix is wrapped
+    without a copy (a non-canonical one is summed on a copy): the Dataset
+    does not write to it, but the caller still can, and values written
     after wrapping are not checked again.
     """
 
@@ -59,9 +60,11 @@ class Dataset:
         self.is_sparse = sp.issparse(mat)
         if self.is_sparse:
             _check_real(mat.dtype, "points")
-            m = mat.tocsr().astype(np.float64)
+            m = mat.tocsr().astype(np.float64, copy=False)
             # canonical: sorted indices, each (row, column) stored at most once
-            m.sum_duplicates()
+            if not m.has_canonical_format:
+                m = m.copy()
+                m.sum_duplicates()
             values = m.data
         else:
             # a view, so that freezing it leaves a caller's own array writeable

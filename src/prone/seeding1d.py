@@ -34,7 +34,7 @@ point on each side that the new center does not improve; only a side
 whose run reaches the window's edge continues with a scan in doubling
 blocks. The repair writes the masses straight into the tree's leaves,
 and the tree then gets one ``update`` over the whole written range, which
-validates the masses and recomputes their ancestors. The first masses are
+recomputes their ancestors without checking them. The first masses are
 written there too, and one ``update`` over all n leaves builds the tree. The
 uniforms for all k - 1 draws come from one ``rng.random(k - 1)`` call,
 which on numpy's generators yields the same values and leaves the same
@@ -73,7 +73,6 @@ first, the rule :func:`~prone.baseline.kmeanspp_seed` follows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,12 +164,14 @@ class SamplingTree:
     of the current leaves bit for bit (the total
     :func:`~prone._util.padded_pairwise_sum` gives ``seed_1d_naive``) and no
     drift accumulates across updates.
+
+    It checks nothing from its one caller, :func:`seed_1d_fast`, whose ranges
+    index checked points and whose masses are finite and >= 0 by construction
+    (``_validate``, ``mass_values`` below 2^1022, ``power_abs``); a check
+    would cost every draw a ``min`` and a ``max``.
     """
 
     def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"n={n} must be at least 1")
-        self._n = n
         self._capacity = 1 << (n - 1).bit_length()
         self._nodes = np.zeros(2 * self._capacity, dtype=np.float64)
         self._leaves = self._nodes[self._capacity : self._capacity + n]
@@ -189,17 +190,12 @@ class SamplingTree:
     def find(self, r: float) -> int:
         """Return the smallest index i with prefix_sum(i) > r.
 
-        Requires 0 <= r < total and a positive total. The descent goes left
-        iff r < left-child sum; stored sums round, so it can overshoot by an
-        ulp onto a zero-mass leaf, and then steps back to the previous
-        positive leaf. A zero-mass index is never returned.
+        Requires 0 <= r < total and a positive total (unchecked). The descent
+        goes left iff r < left-child sum; stored sums round, so it can
+        overshoot by an ulp onto a zero-mass leaf, and then steps back to the
+        previous positive leaf. A zero-mass index is never returned.
         """
         nodes = self._view
-        total = nodes[1]
-        if not total > 0.0:
-            raise ValueError("find() on a tree with zero total mass")
-        if not (0.0 <= r < total):
-            raise ValueError(f"r={r!r} outside [0, {total!r})")
         idx = 1
         cap = self._capacity
         while idx < cap:
@@ -220,22 +216,12 @@ class SamplingTree:
     def update(self, start: int, stop: int) -> None:
         """Re-sum the ancestors of leaves [start, stop) after a write to them.
 
-        The written masses are checked with one ``min`` and one ``max``;
-        invalid ones raise before any internal node is written, and stay in
-        ``_leaves`` with stale ancestors until a valid update of their range.
+        Requires 0 <= start < stop <= n and finite masses >= 0 (unchecked).
         Each level wider than ``_SCALAR_LEVEL_WIDTH`` nodes is one numpy add;
         the narrower levels and the single path to the root are scalar float
         adds, which round exactly like numpy's. That touches
         O((stop - start) + log n) nodes.
         """
-        if not (0 <= start < stop <= self._n):
-            raise ValueError(f"range [{start}, {stop}) invalid for size {self._n}")
-        vals = self._leaves[start:stop]
-        # NaN and negatives fail the first test, +inf the second; the exact
-        # message is worked out only on failure (-0.0 passes)
-        if not (vals.min() >= 0.0 and vals.max() < math.inf):
-            check_finite(vals, "masses")
-            raise ValueError("masses must be nonnegative")
         nodes = self._nodes
         view = self._view
         lo = self._capacity + start
@@ -262,14 +248,6 @@ class SamplingTree:
             lo >>= 1
             view[lo] = acc
         self.last_update_internal_nodes = internal
-
-    def check_consistency(self) -> None:
-        """Assert every internal node equals the sum of its children (tests)."""
-        nodes = self._nodes
-        for idx in range(1, self._capacity):
-            expect = nodes[2 * idx] + nodes[2 * idx + 1]
-            if nodes[idx] != expect:
-                raise AssertionError(f"node {idx}: stored {nodes[idx]!r} != children {expect!r}")
 
 
 def _validate(points, k: int, z: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from prone.baseline import (
     nearest_assignment,
     pointwise_assignment_costs,
 )
+from prone.coreset import BoostedResult
 from prone.dataset import as_dataset, gen_gaussian_mixture
 from prone.pipeline import ProneConfig, prone
 from prone.seeding1d import seed_1d_naive
@@ -723,10 +724,27 @@ class TestPointsCoercion:
             centers_of_mass(pts, np.repeat(np.arange(5), 200), 5)
         with pytest.raises(ValueError, match=message):
             prone(pts, ProneConfig(k=5, seed=0))
-        # the nearest pass before the first lift overflows at this scale too
+        # the nearest pass before the first lift overflows at this scale too,
+        # and stops Lloyd there
         model = ClusteringModel(pts[::200], None, 0.0, 2.0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^points' squared distances to centers must be finite$"
+        ):
             lloyd_iterate(pts, model)
+
+    @pytest.mark.parametrize("call", [
+        lambda p, c: nearest_assignment(p, c),
+        lambda p, c: cost_with_nearest(p, c),
+        lambda p, c: BoostedResult(ClusteringModel(c, None, 0.0, 2.0), None, None, {}).evaluate(p),
+    ], ids=["nearest_assignment", "cost_with_nearest", "BoostedResult.evaluate"])
+    def test_overflowing_distances_rejected(self, call):
+        # finite points whose distances overflow used to get label 0 and an inf distance
+        data, _ = gen_gaussian_mixture(5, 200, 3, 100.0, rng=1)
+        pts = data.points * 1.5e306
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^points' squared distances to centers must be finite$"
+        ):
+            call(pts, pts[::200])
 
 
 _BAD_WEIGHTS = {

@@ -26,8 +26,10 @@ from prone.baseline import (
     nearest_assignment,
     pointwise_assignment_costs,
 )
-from prone.coreset import lightweight_distribution, sample_coreset, sensitivity_distribution
-from prone.dataset import as_dataset
+from prone.coreset import (
+    boosted_prone, lightweight_distribution, sample_coreset, sensitivity_distribution,
+)
+from prone.dataset import as_dataset, gen_gaussian_mixture
 from prone.pipeline import ProneConfig, prone
 from prone.projection import project, sample_direction
 from prone.seeding1d import seed_1d_fast, seed_1d_naive
@@ -130,6 +132,27 @@ _CASES = {
     ),
     "cost_with_assignment-negative-z": (
         "z", lambda: cost_with_assignment(X, C, LABELS, z=-1), "z=-1 must be finite and >= 1"
+    ),
+    # a scalar must be a real number, checked before it is compared
+    "boosted_prone-none-k": (
+        "k", lambda: boosted_prone(X, None, alpha=1.0, rng=0), "k=None must be an integer"
+    ),
+    "boosted_prone-none-alpha": (
+        "alpha", lambda: boosted_prone(X, 2, alpha=None, rng=0), "alpha=None must be a number"
+    ),
+    "boosted_prone-bool-alpha": (
+        "alpha", lambda: boosted_prone(X, 2, alpha=True, rng=0),
+        "alpha=True must be a number, not a bool",
+    ),
+    "seed_1d_fast-string-z": (
+        "z", lambda: seed_1d_fast([1.0, 2.0], 1, "2", rng=0), "z='2' must be a number"
+    ),
+    "lloyd_iterate-none-tol": (
+        "tol", lambda: lloyd_iterate(X, MODEL, tol=None), "tol=None must be a number"
+    ),
+    "gen_gaussian_mixture-none-separation": (
+        "separation", lambda: gen_gaussian_mixture(2, 3, 2, None, rng=0),
+        "separation=None must be a number",
     ),
     # every rng that is not a Generator is a seed
     "seed_1d_fast-fractional-rng": (

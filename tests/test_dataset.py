@@ -106,6 +106,23 @@ class TestDataset:
         with pytest.raises(ValueError, match="read-only"):
             data.points[0, 0] = 9.0
 
+    @pytest.mark.parametrize("storage", [sp.csr_matrix, sp.csr_array])
+    def test_canonical_float64_csr_not_copied(self, storage):
+        mat = storage(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert np.shares_memory(Dataset(mat).points.data, mat.data)
+
+    def test_non_canonical_csr_left_unchanged(self):
+        # row 0 stores column 1 twice, row 1 its columns out of order
+        mat = sp.csr_matrix(
+            ([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0], [0, 2, 4]), shape=(2, 2)
+        )
+        before = [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
+        data = Dataset(mat)
+        assert data.points.has_canonical_format and data.nnz == 3
+        np.testing.assert_array_equal(data.to_dense(), [[0.0, 3.0], [4.0, 3.0]])
+        for got, want in zip((mat.data, mat.indices, mat.indptr), before):
+            np.testing.assert_array_equal(got, want)
+
     def test_wrapping_a_raw_array_builds_no_mask(self):
         # the finiteness check must not allocate an n x d bool array (3.8 MiB
         # here): prone on the raw array peaks as it does on a Dataset

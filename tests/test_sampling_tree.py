@@ -27,6 +27,13 @@ def write(tree, vals, start, stop):
     tree.update(start, stop)
 
 
+def check_consistency(tree):
+    """Assert every internal node equals the sum of its two children."""
+    nodes = tree._nodes
+    for idx in range(1, tree._capacity):
+        assert nodes[idx] == nodes[2 * idx] + nodes[2 * idx + 1], f"node {idx}"
+
+
 def oracle_find(masses, r):
     """Linear prefix-sum scan: smallest index with prefix(i) > r."""
     acc = 0.0
@@ -51,40 +58,12 @@ class TestConstruction:
         # padded leaves carry no mass
         assert tree._nodes[8:].tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            build([1, -1])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            build([1, float("nan")])
-        with pytest.raises(ValueError):
-            build([float("inf")])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match=r"^n=0 must be at least 1$"):
-            SamplingTree(0)
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ([1.0, float("nan")], "finite"),
-            ([float("inf")], "finite"),
-            ([-1.0, float("-inf")], "finite"),
-            ([-1.0, float("nan")], "finite"),
-            ([1.0, -1e-300], "nonnegative"),
-        ],
-    )
-    def test_rejection_messages(self, bad, message):
-        with pytest.raises(ValueError, match=f"masses must be {message}"):
-            build(bad)
-
     def test_accepts_negative_zero(self):
         assert build([-0.0, 2.0]).total == 2.0
 
     def test_peak_memory_is_the_node_array(self):
-        # validation is two reductions and every level is added into the
-        # node array, so nothing n-sized is allocated beside it
+        # every level is added into the node array, so nothing n-sized is
+        # allocated beside it
         masses = np.random.default_rng(2).random(200_000)
         tracemalloc.start()
         try:
@@ -114,17 +93,6 @@ class TestFind:
         assert tree.find(1.0) == 1
         assert tree.find(3.0) == 2
 
-    def test_out_of_range(self):
-        tree = build([1, 2, 3])
-        with pytest.raises(ValueError):
-            tree.find(-0.1)
-        with pytest.raises(ValueError):
-            tree.find(6.0)
-
-    def test_all_zero_mass(self):
-        with pytest.raises(ValueError):
-            build([0, 0]).find(0.0)
-
 
 class TestUpdate:
     def test_zero_everything(self):
@@ -150,60 +118,12 @@ class TestUpdate:
         assert tree.last_update_leaf_nodes == width
         assert tree.last_update_internal_nodes <= width + 2 * int(math.log2(8)) + 1
 
-    def test_rejects_bad_range(self):
-        tree = build([1, 2, 3])
-        for start, stop in ((-1, 0), (2, 4), (2, 1), (1, 1)):
-            with pytest.raises(ValueError, match=rf"^range \[{start}, {stop}\) invalid for size 3$"):
-                tree.update(start, stop)
-
-    def test_rejects_negative_mass(self):
-        tree = build([1, 2, 3])
-        with pytest.raises(ValueError):
-            write(tree, [-1], 0, 1)
-
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            (float("nan"), "masses must be finite"),
-            (float("inf"), "masses must be finite"),
-            (float("-inf"), "masses must be finite"),
-            (-1e-300, "masses must be nonnegative"),
-            (-2.0, "masses must be nonnegative"),
-        ],
-    )
-    @pytest.mark.parametrize("full", [False, True])
-    def test_rejection_messages(self, bad, message, full):
-        # ``full`` re-sums every leaf, as the build does, instead of the written range
-        tree = build([1.0, 2.0, 3.0, 4.0, 5.0])
-        nodes = tree._nodes.copy()
-        tree._leaves[1:4] = [0.5, bad, 0.5]
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            tree.update(*((0, 5) if full else (1, 4)))
-        # no internal node was written
-        np.testing.assert_array_equal(tree._nodes[: tree._capacity], nodes[: tree._capacity])
-
-    def test_non_finite_reported_before_negative(self):
-        tree = build([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="^masses must be finite$"):
-            write(tree, [-1.0, float("nan")], 0, 2)
-
     def test_accepts_negative_zero(self):
         tree = build([1.0, 2.0, 3.0])
         write(tree, [-0.0, 4.0], 0, 2)
         assert tree.total == 7.0
         assert tree.find(0.0) == 1
-        tree.check_consistency()
-
-    def test_invalid_leaf_write_raises_and_a_valid_rewrite_recovers(self):
-        tree = build([1.0, 2.0, 3.0])
-        tree._leaves[1] = -1.0
-        with pytest.raises(ValueError, match="masses must be nonnegative"):
-            tree.update(1, 2)
-        tree._leaves[1] = 0.5
-        tree.update(1, 2)
-        tree.check_consistency()
-        assert tree.total == 4.5
-        assert tree.find(1.2) == 1
+        check_consistency(tree)
 
     def test_internal_node_count_across_scalar_levels(self):
         # widths 1..64 from every offset mod 16 cross the width at which the
@@ -221,7 +141,7 @@ class TestUpdate:
                 )
                 assert tree.last_update_leaf_nodes == width
                 assert tree.last_update_internal_nodes == ancestors
-                tree.check_consistency()
+                check_consistency(tree)
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,7 +174,7 @@ def test_oracle_equivalence_randomized(masses, data):
         if total > 0:
             r = data.draw(st.floats(min_value=0, max_value=total, exclude_max=True, allow_nan=False))
             assert tree.find(r) == oracle_find(flat, r)
-    tree.check_consistency()
+    check_consistency(tree)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,7 +187,7 @@ def test_float_masses_fsum_close(masses):
     assert tree.total == pytest.approx(expected, rel=1e-9, abs=1e-12)
     # the root seed_1d_naive's total must equal bit for bit
     assert tree.total == padded_pairwise_sum(masses)
-    tree.check_consistency()
+    check_consistency(tree)
 
 
 def test_find_monotone_in_r():
@@ -287,4 +207,4 @@ def test_internal_sums_exact_children():
         start = int(rng.integers(0, 33))
         stop = int(rng.integers(start + 1, 34))
         write(tree, rng.random(stop - start), start, stop)
-    tree.check_consistency()
+    check_consistency(tree)

@@ -1,6 +1,7 @@
 """Tests for 1-D seeding: worked examples, fast == naive oracle equivalence, distribution law."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from prone._util import mass_values, power_abs
 from prone.seeding1d import (
     _WINDOW,
     _improve,
+    SamplingTree,
     SeedingStats,
     _sort,
     seed_1d_fast,
@@ -453,6 +455,23 @@ class TestSeedingStats:
         assert SeedingStats(total_updates=5, draws=2).comparisons == 9
 
 
+def masses_checked():
+    """Patch ``SamplingTree.update`` to assert its range is valid and its masses finite and >= 0.
+
+    The tree checks neither; the seeder's masses hold both by construction,
+    which the extreme scales and exponents below put to the test.
+    """
+    update = SamplingTree.update
+
+    def checked(tree, start, stop):
+        masses = tree._leaves[start:stop]
+        assert 0 <= start < stop <= tree._leaves.size
+        assert np.isfinite(masses).all() and (masses >= 0).all()
+        update(tree, start, stop)
+
+    return mock.patch.object(SamplingTree, "update", checked)
+
+
 @st.composite
 def power_of_two_rescalings(draw):
     """(xs, j, z): integer-grid or Gaussian values times 2^m, |m| <= 20, so xs * 2^j stays normal."""
@@ -477,8 +496,9 @@ class TestScaleInvariance:
     def test_power_of_two_rescaling_changes_nothing(self, case, k, seed):
         xs, j, z = case
         k = min(k, xs.size)
-        want, _ = seed_1d_fast(xs, k, z, rng=seed)
-        got, _ = seed_1d_fast(np.ldexp(xs, j), k, z, rng=seed)
+        with masses_checked():
+            want, _ = seed_1d_fast(xs, k, z, rng=seed)
+            got, _ = seed_1d_fast(np.ldexp(xs, j), k, z, rng=seed)
         naive = seed_1d_naive(np.ldexp(xs, j), k, z, rng=seed)
         for res in (got, naive):
             np.testing.assert_array_equal(res.center_indices, want.center_indices)
@@ -515,7 +535,8 @@ class TestLargeZ:
     @given(large_z_instances(), st.integers(0, 2**32 - 1))
     def test_fast_equals_naive_without_error(self, case, seed):
         xs, k, z = case
-        got, _ = seed_1d_fast(xs, k, z, rng=seed)
+        with masses_checked():
+            got, _ = seed_1d_fast(xs, k, z, rng=seed)
         want = seed_1d_naive(xs, k, z, rng=seed)
         np.testing.assert_array_equal(got.center_indices, want.center_indices)
         np.testing.assert_array_equal(got.assignment, want.assignment)
