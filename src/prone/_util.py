@@ -44,6 +44,11 @@ __all__ = [
     "StageClock",
 ]
 
+# Values one block temporary holds, in every blocked pass: the full-data
+# kernels of ``baseline`` (shared by a pass's workers) and the 1-D seeder's
+# fallback scan. Longer blocks only raise a pass's peak memory.
+_BLOCK_VALUES = 2**16
+
 
 def as_generator(rng: np.random.Generator | int | None = None) -> np.random.Generator:
     """Coerce a seed (or None) into a counter-based numpy Generator.

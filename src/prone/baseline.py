@@ -13,11 +13,13 @@ do not depend on where the data sit.
 
 Both kernels run their blocks on the CPUs in the process's affinity
 mask, two at most (see ``_MIN_WORKER_VALUES``): the blocks are cut into
-contiguous spans, one per worker thread, and the 2**16-value budget is
-shared by the workers, so a pass holds as much memory as on one CPU.
-Every row's result is computed from that row alone, in the same order
-whatever the block size, so results do not depend on how many workers
-there are. The threads last one pass: none is alive when a kernel
+contiguous spans, one per worker, and the 2**16-value budget
+(``_util._BLOCK_VALUES``) is shared by the workers, so a pass holds as
+much memory as on one CPU. Each block makes its own temporaries. Every
+row's result is computed from that row alone, in the same order whatever
+the block size, so results do not depend on how many workers there are.
+The first span runs on the calling thread and the others on a thread
+pool that lasts one pass: none of its threads is alive when a kernel
 returns.
 
 ``kmeanspp_seed`` is the standard powered-distance seeding, optionally
@@ -46,15 +48,15 @@ monotone non-increasing.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._util import (
-    _check_count, as_float64, as_generator, check_assignment, check_finite, check_k, check_masses,
-    check_nonnegative, check_z, inverse_cdf, padded_pairwise_sum,
+    _BLOCK_VALUES, _check_count, as_float64, as_generator, check_assignment, check_finite, check_k,
+    check_masses, check_nonnegative, check_z, inverse_cdf, padded_pairwise_sum,
 )
 from .dataset import as_dataset
 
@@ -110,8 +112,6 @@ def _check_centers(centers, d: int) -> np.ndarray:
     return c
 
 
-# Values per block temporary, shared by all the workers of a pass.
-_BLOCK_VALUES = 2**16
 # Smallest block, in values, that pays for a worker of its own. The nearest
 # pass at n = 2e5, d = 16, k = 100 (2-CPU Xeon, one BLAS thread) took 28.3 ms
 # on one thread in 655-row blocks, 21.2 ms on two in 327-row blocks (2**15
@@ -157,42 +157,31 @@ def _plan(n: int, width: int) -> tuple[int, int]:
     return workers, rows // workers
 
 
-def _run_blocks(n: int, width: int, run_block, buffers=None) -> None:
-    """Call ``run_block(lo, hi, buf)`` on row blocks ``[lo, hi)`` covering ``range(n)``.
+def _run_blocks(n: int, width: int, run_block) -> None:
+    """Call ``run_block(lo, hi)`` on row blocks ``[lo, hi)`` covering ``range(n)``.
 
     The blocks are cut into one contiguous span per worker (see
-    :func:`_plan`). The first span runs on the calling thread and each other
-    on a thread of its own; every thread is joined before this returns, and
-    a worker's exception is raised here. ``buffers(rows)``, if given, makes
-    one worker's scratch for blocks of up to ``rows`` rows, on this thread.
+    :func:`_plan`). The first span runs on the calling thread and the others
+    on a thread pool that lasts this one pass: a one-worker pass starts
+    nothing, the pool is joined before this returns, and a worker's exception
+    is raised here. Each block makes its own temporaries.
     """
     workers, rows = _plan(n, width)
-    bufs = [buffers(min(n, rows)) if buffers else None for _ in range(workers)]
     blocks = -(-n // rows)
     starts = [rows * (blocks * j // workers) for j in range(workers + 1)]
-    errors: list[BaseException] = []
 
     def span(j: int) -> None:
         for lo in range(starts[j], min(n, starts[j + 1]), rows):
-            run_block(lo, min(n, lo + rows), bufs[j])
+            run_block(lo, min(n, lo + rows))
 
-    def work(j: int) -> None:
-        try:
-            span(j)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for j in range(1, workers):
-            threads.append(threading.Thread(target=work, args=(j,)))
-            threads[-1].start()
+    if workers == 1:
         span(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(span, j) for j in range(1, workers)]
+        span(0)
+        for future in futures:
+            future.result()
 
 
 def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +201,7 @@ def nearest_assignment(points, centers) -> tuple[np.ndarray, np.ndarray]:
 def _nearest(data, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`nearest_assignment` on a Dataset and checked centers."""
     mat, sparse = data.points, data.is_sparse
-    n, (k, d) = data.n, c.shape
+    n, k = data.n, c.shape[0]
     origin = c.mean(axis=0)
     shifted = c - origin
     # scaling by -2 is exact, so folding it into the centers rounds nothing
@@ -223,19 +212,13 @@ def _nearest(data, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bias -= origin @ cT
     assignment = np.empty(n, dtype=np.intp)
 
-    def run_block(lo, hi, buf):
+    def run_block(lo, hi):
         block = mat[lo:hi]
-        if sparse:
-            dist = np.asarray(block @ cT)
-        else:
-            rows, dist = buf[0][: hi - lo], buf[1][: hi - lo]
-            np.subtract(block, origin, out=rows)
-            np.matmul(rows, cT, out=dist)
+        dist = np.asarray(block @ cT) if sparse else (block - origin) @ cT
         dist += bias
         np.argmin(dist, axis=1, out=assignment[lo:hi])
 
-    buffers = None if sparse else lambda rows: (np.empty((rows, d)), np.empty((rows, k)))
-    _run_blocks(n, max(k, _row_width(data)), run_block, buffers)
+    _run_blocks(n, max(k, _row_width(data)), run_block)
     d2 = _assigned_costs(data, c, assignment, 2.0)
     # finite points can still overflow a distance, and then every label is 0
     check_finite(d2, "points' squared distances to centers")
@@ -284,7 +267,7 @@ def _assigned_costs(data, c: np.ndarray, sigma: np.ndarray, z: float) -> np.ndar
     if sparse:
         cn = np.einsum("ij,ij->i", c, c)
 
-    def run_block(lo, hi, buf):
+    def run_block(lo, hi):
         block, s = mat[lo:hi], sigma[lo:hi]
         if sparse:
             # per-row dot with its own center, summed in stored order
@@ -294,16 +277,12 @@ def _assigned_costs(data, c: np.ndarray, sigma: np.ndarray, z: float) -> np.ndar
             xn = np.asarray(block.multiply(block).sum(axis=1)).ravel()
             d2[lo:hi] = np.maximum(xn - 2.0 * cross + cn[s], 0.0)
         else:
-            diff = buf[: hi - lo]
-            # indices are checked above; "clip" writes straight into
-            # ``out``, where the default "raise" buffers it through a copy
-            np.take(c, s, axis=0, out=diff, mode="clip")
+            # one temporary: the block's centers, then its differences
+            diff = np.take(c, s, axis=0)
             np.subtract(block, diff, out=diff)
             np.einsum("ij,ij->i", diff, diff, out=d2[lo:hi])
 
-    # dense rows: one buffer per worker, each block's centers, then its differences
-    buffers = None if sparse else lambda rows: np.empty((rows, c.shape[1]))
-    _run_blocks(n, _row_width(data), run_block, buffers)
+    _run_blocks(n, _row_width(data), run_block)
     return _power_from_sq(d2, z, out=d2)
 
 
@@ -391,8 +370,7 @@ def centers_of_mass(
 
 def _centers_of_mass(data, sigma: np.ndarray, k: int, w: np.ndarray | None):
     """:func:`centers_of_mass` on a Dataset, intp labels and checked weights or None."""
-    mat, sparse = data.points, data.is_sparse
-    n, d = data.n, data.d
+    mat, sparse, n = data.points, data.is_sparse, data.n
     # unweighted, the counts are these sums without adding n ones
     wsum = np.bincount(sigma, weights=w, minlength=k)
     # one-hot with one stored entry per point, so each sum adds its
@@ -403,13 +381,13 @@ def _centers_of_mass(data, sigma: np.ndarray, k: int, w: np.ndarray | None):
     onehot = sp.csc_matrix(
         (values, sigma.astype(idx, copy=False), np.arange(n + 1, dtype=idx)), shape=(k, n)
     )
-    sums = onehot @ mat
+    centers = onehot @ mat
     if sparse:
-        sums = sums.toarray()
-
+        # C order, as the dense product gives: ``einsum``'s row sums depend on the layout
+        centers = centers.toarray(order="C")
     nonempty = wsum > 0
-    centers = np.zeros((k, d), dtype=np.float64)
-    centers[nonempty] = sums[nonempty] / wsum[nonempty, None]
+    # the sums become the means in place; an empty cluster's sums are 0
+    np.divide(centers, wsum[:, None], out=centers, where=nonempty[:, None])
     # sums of finite points can overflow; raised before the relocation's pass
     check_finite(centers, "points' cluster means")
     relocated = np.flatnonzero(~nonempty)

@@ -179,12 +179,17 @@ def _with_nearest(run: Run, data, z: float) -> Run:
 
 
 def _record(head: dict, run: Run) -> dict:
-    """One cluster or bench record: ``head``, then the fields taken from the run."""
+    """One cluster or bench record: ``head``, then the fields taken from the run.
+
+    A cost that is not finite and nonnegative raises a ``ValueError``: it
+    would print as ``Infinity`` or ``NaN``, which is not JSON.
+    """
     k_found = len(run.centers)  # every algorithm returns one center per center found
+    costs = {"cost_assignment": run.cost_assignment, "cost_nearest": run.cost_nearest}
     return {
         **head,
-        "cost_assignment": run.cost_assignment,
-        "cost_nearest": run.cost_nearest,
+        **{name: None if cost is None else check_nonnegative(cost, name)
+           for name, cost in costs.items()},
         "k_found": k_found,
         "exhausted": k_found < head["k"],
         "total_updates": None if run.stats is None else run.stats.total_updates,
@@ -212,11 +217,7 @@ def cmd_cluster(args) -> int:
     if args.assign_nearest:
         _with_nearest(run, data, args.z)
     run.timings.update(clock.timings, total=clock.elapsed())
-
-    centers_path = f"{args.output}.centers.csv"
-    labels_path = f"{args.output}.labels.txt"
-    write_dense_csv(Dataset(np.atleast_2d(run.centers)), centers_path)
-    _write_labels(run.labels, labels_path)
+    # built first: a run whose record is refused writes no files
     record = _record({
         "command": "cluster", "algorithm": args.algo, "input": args.input,
         "n": data.n, "d": data.d, "k": args.k, "z": args.z, "seed": args.seed,
@@ -225,6 +226,11 @@ def cmd_cluster(args) -> int:
     if args.stats:
         comparisons = None if run.stats is None else run.stats.comparisons
         record["stats"] = {"total_updates": record["total_updates"], "comparisons": comparisons}
+
+    centers_path = f"{args.output}.centers.csv"
+    labels_path = f"{args.output}.labels.txt"
+    write_dense_csv(Dataset(np.atleast_2d(run.centers)), centers_path)
+    _write_labels(run.labels, labels_path)
     record["centers_file"] = centers_path
     record["labels_file"] = labels_path
     print(json.dumps(record))
@@ -336,11 +342,6 @@ def cmd_bench(args) -> int:
     records = [
         rec for k in args.ks for rep in range(args.reps) for rec in _run_cell(args, data, k, rep)
     ]
-    for rec in records:
-        for field_name in ("cost_assignment", "cost_nearest"):
-            val = rec[field_name]
-            if val is not None and not (math.isfinite(val) and val >= 0):
-                raise AssertionError(f"non-finite or negative {field_name} in {rec}")
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")

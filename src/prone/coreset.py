@@ -94,6 +94,8 @@ def _sensitivity_from_costs(costs: np.ndarray, sigma: np.ndarray, k: int) -> np.
     The probabilities are written over ``costs``, which is returned.
     """
     total = float(costs.sum())
+    if not math.isfinite(total):
+        raise ValueError("points' costs must be finite")
     sizes = np.bincount(sigma, minlength=k)
     k_nonempty = int((sizes > 0).sum())
     if total > 0:

@@ -78,8 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    as_float64, as_generator, check_finite, check_k, check_z, inverse_cdf, mass_values,
-    padded_pairwise_sum, power_abs,
+    _BLOCK_VALUES, as_float64, as_generator, check_finite, check_k, check_z, inverse_cdf,
+    mass_values, padded_pairwise_sum, power_abs,
 )
 
 __all__ = [
@@ -97,10 +97,6 @@ _WINDOW = 256
 # about that of a few hundred elements of scan work, so starting here wastes
 # at most about one call on a short run and saves doublings on a long one.
 _FIRST_BLOCK = 512
-
-# Longest fallback scan block: 2**16 points, the values a ``baseline``
-# kernel block holds. Longer blocks only raise the scan's peak memory.
-_MAX_BLOCK = 2**16
 
 # Levels of a tree update at most this many nodes wide are summed with
 # scalar memoryview adds: one numpy call costs about as much as ten of them,
@@ -326,7 +322,7 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
     """Continue an improving run from index ``i`` in direction ``step`` (+-1).
 
     Writes |x_j - c|^z over ``a`` for j = i, i + step, ... while it is
-    smaller, in blocks that double in length up to ``_MAX_BLOCK``, and
+    smaller, in blocks that double in length up to ``_BLOCK_VALUES``, and
     returns the first index it did not improve (-1 or n past either end).
     """
     n = xs.size
@@ -348,7 +344,7 @@ def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: flo
         i += step * run
         if run < improve.size:
             break
-        block = min(2 * block, _MAX_BLOCK)
+        block = min(2 * block, _BLOCK_VALUES)
         del vals  # freed before the next block's values are allocated
     return i
 

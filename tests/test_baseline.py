@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -309,7 +310,7 @@ class TestWorkers:
         force_workers(2)
         seen = set()
         before = threading.active_count()
-        baseline._run_blocks(2**18, 1, lambda lo, hi, buf: seen.add(threading.get_ident()))
+        baseline._run_blocks(2**18, 1, lambda lo, hi: seen.add(threading.get_ident()))
         assert len(seen) == 2
         assert threading.active_count() == before
         X = np.random.default_rng(0).standard_normal((50_000, 4))
@@ -322,7 +323,7 @@ class TestWorkers:
         force_workers(2)
         n, done = 2**18, []
 
-        def run_block(lo, hi, buf):
+        def run_block(lo, hi):
             if lo >= n // 2:
                 where = "caller" if threading.current_thread() is threading.main_thread() else "worker"
                 raise RuntimeError(f"block {lo} on the {where}")
@@ -332,6 +333,36 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match=f"^block {n // 2} on the worker$"):
             baseline._run_blocks(n, 1, run_block)
         assert done == [0, 2**15, 2 * 2**15, 3 * 2**15]
+        assert threading.active_count() == before
+
+    def test_a_caller_exception_waits_for_the_workers(self, force_workers):
+        # the caller's first block raises while the worker is still in its span
+        force_workers(2)
+        n, started, finished = 2**18, threading.Event(), []
+        caller = threading.get_ident()
+
+        def run_block(lo, hi):
+            if threading.get_ident() == caller:
+                assert started.wait(60)
+                raise RuntimeError(f"block {lo} on the caller")
+            started.set()
+            time.sleep(0.01)
+            finished.append(lo)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^block 0 on the caller$"):
+            baseline._run_blocks(n, 1, run_block)
+        # the worker ran its whole span, 4 blocks of 2**15 rows, before the raise
+        assert finished == [4 * 2**15, 5 * 2**15, 6 * 2**15, 7 * 2**15]
+        assert threading.active_count() == before
+
+    def test_one_worker_runs_every_block_on_the_caller_in_order(self, force_workers):
+        force_workers(1)
+        n, seen = 2**18 + 5, []
+        before = threading.active_count()
+        baseline._run_blocks(n, 1, lambda lo, hi: seen.append((lo, hi, threading.get_ident())))
+        me = threading.get_ident()
+        assert seen == [(lo, min(lo + 2**16, n), me) for lo in range(0, n, 2**16)]
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -424,8 +455,8 @@ class TestCosts:
 
     @pytest.mark.parametrize("z, workers", with_workers(1.0, 2.0, 3.0))
     def test_dense_cost_kernel_peak_memory(self, z, workers, force_workers):
-        # the output plus one block buffer of 2**16 values: the gather writes
-        # straight into the buffer, and the clamp and the power reuse the output
+        # the output plus one block temporary of 2**16 values: the gather makes
+        # it, the subtraction reuses it, and the clamp and the power reuse the output
         force_workers(workers)
         n, d = 200_000, 16
         rng = np.random.default_rng(6)
@@ -831,6 +862,24 @@ class TestCentersOfMass:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n + 4 * (2 * n + 1) + 2**17
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_peak_memory_holds_one_k_by_d_array(self, weighted):
+        # the one-hot's arrays plus the sums, which become the means in place;
+        # every cluster has members, so no relocation pass runs
+        n, k, d = 20_000, 2000, 200
+        rng = np.random.default_rng(9)
+        pts = as_dataset(rng.standard_normal((n, d)))
+        sigma = np.arange(n) % k
+        weights = rng.random(n) + 0.5 if weighted else None
+        tracemalloc.start()
+        try:
+            centers, relocated = centers_of_mass(pts, sigma, k, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert relocated.size == 0
+        assert peak <= 8 * n + 4 * (2 * n + 1) + 1.5 * centers.nbytes
 
 
 class TestLloyd:

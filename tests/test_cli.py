@@ -216,6 +216,48 @@ class TestCluster:
         assert code == 2
 
 
+@pytest.fixture()
+def overflowing_csv(tmp_path):
+    # finite points whose costs at z = 4 overflow to inf
+    data, _ = gen_gaussian_mixture(4, 50, 3, 1e102, rng=0)
+    path = tmp_path / "big.csv"
+    write_dense_csv(data, path)
+    return str(path)
+
+
+class TestOverflowingCosts:
+    @pytest.mark.parametrize("algo", ["prone", "kmeanspp"])
+    def test_cluster_refuses_the_record_and_writes_no_files(
+        self, algo, overflowing_csv, tmp_path, capsys
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("cluster", "--input", overflowing_csv, "--k", 2, "--z", 4,
+                           "--algo", algo, "--output", tmp_path / "o")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cost_assignment=inf must be finite and nonnegative\n"
+        assert not list(tmp_path.glob("o.*"))
+
+    def test_boosted_names_the_costs(self, overflowing_csv, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("cluster", "--input", overflowing_csv, "--k", 2, "--z", 4,
+                           "--algo", "boosted", "--alpha", 0.5, "--output", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == "error: points' costs must be finite\n"
+
+    def test_bench_is_an_error_not_a_crash(self, overflowing_csv, tmp_path, capsys):
+        out = tmp_path / "big.jsonl"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("bench", "--suite", "direct", "--dataset", overflowing_csv,
+                           "--ks", 2, "--z", 4, "--reps", 1, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cost_assignment=inf must be finite and nonnegative\n"
+        )
+        assert not out.exists()
+
+
 class TestLabelsFile:
     def test_one_line_per_point_as_one_join_would_write(self, tmp_path, capsys):
         # k > 256 gives labels outside CPython's small-int cache, and

@@ -73,6 +73,14 @@ class TestSensitivityDistribution:
         data, model = model_for([[0.0], [0.0], [9.0]], [[0.0], [9.0]])
         assert (sensitivity_distribution(data, model) > 0).all()
 
+    def test_overflowing_costs_rejected(self):
+        # finite points whose costs overflow: the error names the costs, not
+        # the probabilities the caller never passed
+        with np.errstate(over="ignore"):
+            data, model = model_for([[0.0], [1e80], [3e80]], [[0.0], [3e80]], z=4.0)
+            with pytest.raises(ValueError, match="^points' costs must be finite$"):
+                sensitivity_distribution(data, model)
+
 
 class TestLightweightDistribution:
     def test_identical_points_uniform(self):
@@ -118,7 +126,7 @@ class TestLightweightDistribution:
         # X takes 40 MB dense and 12 MB as CSR; the distances to the mean
         # need the distances, the labels and one kernel block of 2**16
         # stored values, not a centered or squared copy of X. The block is
-        # one float64 buffer for dense rows; for CSR it is about eight value
+        # one float64 temporary for dense rows; for CSR it is about eight value
         # and index temporaries per stored value. The probabilities are
         # written over the distances. Workers share the block budget
         force_workers(workers)
@@ -376,6 +384,12 @@ class TestBoosted:
         data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
         with pytest.raises(ValueError, match="alpha=.* must be finite and positive"):
             boosted_prone(data, k=2, z=2, alpha=alpha, rng=0)
+
+    def test_overflowing_costs_rejected(self):
+        data, _ = gen_gaussian_mixture(4, 50, 3, 1e102, rng=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^points' costs must be finite$"):
+                boosted_prone(data, k=2, z=4, alpha=0.5, rng=0)
 
     def test_alpha_above_one_draws_more_than_n(self):
         data, _ = gen_gaussian_mixture(2, 50, 2, 10.0, rng=0)
