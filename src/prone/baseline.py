@@ -381,10 +381,14 @@ def _centers_of_mass(data, sigma: np.ndarray, k: int, w: np.ndarray | None):
     onehot = sp.csc_matrix(
         (values, sigma.astype(idx, copy=False), np.arange(n + 1, dtype=idx)), shape=(k, n)
     )
-    centers = onehot @ mat
     if sparse:
-        # C order, as the dense product gives: ``einsum``'s row sums depend on the layout
-        centers = centers.toarray(order="C")
+        # against a CSC one-hot scipy would copy X to CSC, O(nnz); the
+        # one-hot's conversion is O(n) and keeps each cluster's points in
+        # input order (a dense product is faster from CSC). C order, as the
+        # dense product gives: ``einsum``'s row sums depend on the layout
+        centers = (onehot.tocsr() @ mat).toarray(order="C")
+    else:
+        centers = onehot @ mat
     nonempty = wsum > 0
     # the sums become the means in place; an empty cluster's sums are 0
     np.divide(centers, wsum[:, None], out=centers, where=nonempty[:, None])

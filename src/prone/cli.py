@@ -18,7 +18,9 @@ once. bench runs its cells one after another in the calling process.
 Nothing pins the BLAS library's own worker threads, so a cell's matrix
 products may use several, and the library's full-data passes run on up to
 two CPUs of the affinity mask (``taskset`` limits both); compare wall-clock
-times only between runs on the same host.
+times only between runs on the same host. A file that cannot be read or
+a cost that is not finite ends a command with exit status 2 and one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -432,7 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a command refuses every number it would report that is not finite,
+        # and that ``error:`` line is the whole message: numpy's overflow
+        # warnings on the way there would print ahead of it, with a library path
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,21 +27,27 @@ improvements, and the scan stops at the first tie: on the sorted values
 run meets this only if the close center is drawn while the far points
 still hold their mass, with probability below about 2^(-53 z) per draw.
 
-One draw makes a fixed, small number of numpy calls. The repair computes
-the powered distances on a window of ``_WINDOW`` points each side of the
-new center, and one comparison with the current masses finds the first
-point on each side that the new center does not improve; only a side
-whose run reaches the window's edge continues with a scan in doubling
-blocks. The repair writes the masses straight into the tree's leaves,
-and the tree then gets one ``update`` over the whole written range, which
-recomputes their ancestors without checking them. The first masses are
-written there too, and one ``update`` over all n leaves builds the tree. The
-uniforms for all k - 1 draws come from one ``rng.random(k - 1)`` call,
-which on numpy's generators yields the same values and leaves the same
-state as k - 1 scalar calls. If the run exhausts after j draws, the
-generator is reset to its state before that call and advanced by
-``rng.random(j)``, so it ends exactly where a scalar loop would have left
-it; callers such as the boosted pipeline keep drawing from it.
+One draw makes a fixed, small number of numpy calls. The centers just
+left and right of the new one hold mass 0, so they stop its improved run
+on both sides and bound the window the repair computes on: each center's
+rank keeps links to its neighbours in sorted order, and the new center's
+owner, ``label`` at the drawn point, is where the search for its place
+starts. The repair computes the powered distances on that window, at most
+``_BLOCK_VALUES // 2`` points each side of the new center, and one
+comparison with the current masses finds the first point on each side
+that the new center does not improve; only a side whose run reaches that
+cap continues with a scan in blocks of ``_BLOCK_VALUES``, which also stops
+at the neighbour. The repair writes the masses straight into the tree's
+leaves, and the tree then gets one ``update`` over the whole written
+range, which recomputes their ancestors without checking them. The first
+masses are written there too, and one ``update`` over all n leaves builds
+the tree. The uniforms for all k - 1 draws come from one
+``rng.random(k - 1)`` call, which on numpy's generators yields the same
+values and leaves the same state as k - 1 scalar calls. If the run
+exhausts after j draws, the generator is reset to its state before that
+call and advanced by ``rng.random(j)``, so it ends exactly where a scalar
+loop would have left it; callers such as the boosted pipeline keep drawing
+from it.
 
 ``seed_1d_naive`` recomputes all n distances after every draw (O(nk)). It
 exists as an oracle: both functions consume randomness identically (one
@@ -89,14 +95,9 @@ __all__ = [
     "seed_1d_naive",
 ]
 
-# Points scanned on each side of a new center in one pass. Most improved
-# runs are shorter, so one comparison settles both sides of a draw.
-_WINDOW = 256
-
-# Length of a fallback scan's first block. A numpy call's fixed cost is
-# about that of a few hundred elements of scan work, so starting here wastes
-# at most about one call on a short run and saves doublings on a long one.
-_FIRST_BLOCK = 512
+# Points of a repair's window on each side of the new center, at most: the
+# window's temporaries then hold at most ``_BLOCK_VALUES`` values.
+_SIDE = _BLOCK_VALUES // 2
 
 # Levels of a tree update at most this many nodes wide are summed with
 # scalar memoryview adds: one numpy call costs about as much as ten of them,
@@ -171,6 +172,9 @@ class SamplingTree:
         self._capacity = 1 << (n - 1).bit_length()
         self._nodes = np.zeros(2 * self._capacity, dtype=np.float64)
         self._leaves = self._nodes[self._capacity : self._capacity + n]
+        # the children of nodes lo..hi are _even[lo : hi + 1] and _odd[lo : hi + 1]
+        self._even = self._nodes[0::2]
+        self._odd = self._nodes[1::2]
         # scalar reads and writes through a memoryview are Python floats,
         # several times cheaper than numpy scalar indexing, and round the same
         self._view = memoryview(self._nodes)
@@ -213,13 +217,14 @@ class SamplingTree:
         """Re-sum the ancestors of leaves [start, stop) after a write to them.
 
         Requires 0 <= start < stop <= n and finite masses >= 0 (unchecked).
-        Each level wider than ``_SCALAR_LEVEL_WIDTH`` nodes is one numpy add;
-        the narrower levels and the single path to the root are scalar float
-        adds, which round exactly like numpy's. That touches
+        Each level wider than ``_SCALAR_LEVEL_WIDTH`` nodes is one numpy add
+        of its children, two plain slices of the even and odd views made in
+        ``__init__``, into the level's own slice, about 0.8 us on a 2-CPU
+        Xeon; the narrower levels and the single path to the root are scalar
+        float adds, which round exactly like numpy's. That touches
         O((stop - start) + log n) nodes.
         """
-        nodes = self._nodes
-        view = self._view
+        nodes, even, odd, view = self._nodes, self._even, self._odd, self._view
         lo = self._capacity + start
         hi = self._capacity + stop - 1
         self.last_update_leaf_nodes = stop - start
@@ -231,11 +236,8 @@ class SamplingTree:
                 for idx in range(lo, hi + 1):
                     view[idx] = view[2 * idx] + view[2 * idx + 1]
             else:
-                np.add(
-                    nodes[2 * lo : 2 * hi + 2 : 2],
-                    nodes[2 * lo + 1 : 2 * hi + 2 : 2],
-                    out=nodes[lo : hi + 1],
-                )
+                # a positional ``out`` skips the keyword's parsing
+                np.add(even[lo : hi + 1], odd[lo : hi + 1], nodes[lo : hi + 1])
             internal += hi - lo + 1
         acc = view[lo]
         internal += lo.bit_length() - 1
@@ -287,65 +289,87 @@ def _first_masses(xm: np.ndarray, first: int, z: float, out=None) -> np.ndarray:
     return a
 
 
-def _improve(xs: np.ndarray, a: np.ndarray, center: int, z: float) -> tuple[int, int]:
+def _powered(xs: np.ndarray, c: float, z: float) -> np.ndarray:
+    """|xs - c|^z as a new array: one subtraction, then the power in place.
+
+    For z = 2 the square is the one ``power_abs`` takes, d * d, without its
+    coercion; ``c`` is a Python float, which numpy takes faster than its own
+    scalar.
+    """
+    vals = np.subtract(xs, c)
+    if z == 2:
+        return np.multiply(vals, vals, vals)
+    return power_abs(vals, z, out=vals)
+
+
+def _improve(
+    xs: np.ndarray, a: np.ndarray, center: int, z: float, lo: int, hi: int
+) -> tuple[int, int]:
     """Lower ``a`` to |x_i - x_center|^z on the improved run around ``center``.
 
     The run extends on each side while the new center improves a point, up
-    to the first point it does not improve; ``a[center]`` must already be
-    0, so the center stops both sides (0 >= 0). The power transform is
-    monotone, so the first non-improving point on a side ends its run
-    exactly as a scalar walk would. One comparison over a window of
-    ``_WINDOW`` points per side finds both stops; a side whose run reaches
-    the window's edge continues with :func:`_scan_out`. Returns the range
-    [lo, hi) of written entries, the center included.
+    to the first point it does not improve, and lies within [lo, hi): the
+    seeder passes the points strictly between the neighbouring centers,
+    whose masses of 0 stop the run, or the array's ends. The power transform
+    is monotone, so the first non-improving point on a side ends its run
+    exactly as a scalar walk would. One comparison over a window of [lo, hi)
+    cut to ``_SIDE`` points per side finds both stops; a side whose run
+    reaches the cut continues with :func:`_scan_out`. Returns the range
+    [start, end) of written entries, the center included.
     """
-    n = xs.size
-    c = xs[center]
-    w0 = max(center - _WINDOW, 0)
-    w1 = min(center + _WINDOW + 1, n)
-    vals = xs[w0:w1] - c
-    power_abs(vals, z, out=vals)
-    # the method forms skip the dispatch of np.flatnonzero/np.searchsorted
-    stops = (vals >= a[w0:w1]).nonzero()[0]
-    at = int(stops.searchsorted(center - w0))  # stops[at] is the center
-    lo = w0 + int(stops[at - 1]) + 1 if at else w0
-    hi = w0 + int(stops[at + 1]) if at + 1 < stops.size else w1
-    a[lo:hi] = vals[lo - w0 : hi - w0]
-    if lo == w0 > 0:
-        lo = _scan_out(xs, a, c, w0 - 1, -1, z) + 1
-    if hi == w1 < n:
-        hi = _scan_out(xs, a, c, w1, 1, z)
-    return lo, hi
+    c = float(xs[center])
+    w0 = max(lo, center - _SIDE)
+    w1 = min(hi, center + _SIDE)
+    vals = _powered(xs[w0:w1], c, z)
+    stop = np.greater_equal(vals, a[w0:w1])
+    # the first stop on each side, counted outward from the center; argmax
+    # returns 0 when a side has none, which the read at that index tells
+    m = center - w0
+    start, end = center, center + 1
+    if m:
+        t = int(stop[m - 1 :: -1].argmax())
+        start = center - t if stop[m - 1 - t] else w0
+    if end < w1:
+        t = int(stop[m + 1 :].argmax())
+        end = end + t if stop[m + 1 + t] else w1
+    a[start:end] = vals[start - w0 : end - w0]
+    del vals, stop  # freed before a scan's blocks are allocated
+    if start == w0 > lo:
+        start = _scan_out(xs, a, c, w0 - 1, -1, z, lo - 1) + 1
+    if end == w1 < hi:
+        end = _scan_out(xs, a, c, w1, 1, z, hi)
+    return start, end
 
 
-def _scan_out(xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: float) -> int:
+def _scan_out(
+    xs: np.ndarray, a: np.ndarray, c: float, i: int, step: int, z: float, end: int
+) -> int:
     """Continue an improving run from index ``i`` in direction ``step`` (+-1).
 
     Writes |x_j - c|^z over ``a`` for j = i, i + step, ... while it is
-    smaller, in blocks that double in length up to ``_BLOCK_VALUES``, and
-    returns the first index it did not improve (-1 or n past either end).
+    smaller, in blocks of ``_BLOCK_VALUES``, and returns the first index it
+    did not improve, or ``end`` (the first index past the run's bound) if
+    it improved them all.
     """
-    n = xs.size
-    block = _FIRST_BLOCK
-    while 0 <= i < n:
-        lo, hi = (i, min(i + block, n)) if step > 0 else (max(i - block + 1, 0), i + 1)
+    while i != end:
+        if step > 0:
+            lo, hi = i, min(i + _BLOCK_VALUES, end)
+        else:
+            lo, hi = max(i - _BLOCK_VALUES, end) + 1, i + 1
         # the arithmetic runs on forward views, never negative strides; only
         # the search for the first point not improved starts at the center
-        vals = xs[lo:hi] - c
-        power_abs(vals, z, out=vals)
-        seg = a[lo:hi]  # a view: writes land in ``a``
-        improve = vals < seg
-        toward = improve[::step]  # index 0 is nearest the center
-        run = int(np.argmin(toward))  # first point not improved, 0 if all are
-        if toward[run]:
-            run = improve.size
-        part = slice(0, run) if step > 0 else slice(improve.size - run, None)
-        seg[part] = vals[part]
+        vals = _powered(xs[lo:hi], c, z)
+        stop = np.greater_equal(vals, a[lo:hi])
+        toward = stop[::step]  # index 0 is nearest the center
+        run = int(toward.argmax())  # first point not improved, 0 if all are
+        if not toward[run]:
+            run = stop.size
+        part = slice(0, run) if step > 0 else slice(stop.size - run, None)
+        a[lo:hi][part] = vals[part]
         i += step * run
-        if run < improve.size:
+        if run < stop.size:
             break
-        block = min(2 * block, _BLOCK_VALUES)
-        del vals  # freed before the next block's values are allocated
+        del vals, stop  # freed before the next block's are allocated
     return i
 
 
@@ -370,7 +394,11 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     # are written once there, and ``update`` re-sums the written range
     a = _first_masses(xm, first, z, out=tree._leaves)
     tree.update(0, n)
+    find, update = tree.find, tree.update
+    owner = memoryview(label)  # reads a label as a Python int
     chosen = [first]
+    # per rank, the ranks of the nearest centers to its left and right
+    left_of, right_of = [None], [None]
     writes = 0
     exhausted = False
 
@@ -387,15 +415,37 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
         r = u * total
         if r >= total:  # u close to 1 can round u*total up to total
             r = np.nextafter(total, 0.0)
-        lt = tree.find(r)
-        a[lt] = 0.0
-        lo, hi = _improve(xm, a, lt, z)
-        tree.update(lo, hi)
-        label[lo:hi] = len(chosen)
+        lt = find(r)
+        # the drawn point's owner is one of its two neighbours unless a
+        # rounding tie stopped an earlier repair short (module docstring);
+        # the walks find its place between centers from any start
+        j = owner[lt]
+        if chosen[j] < lt:
+            left, right = j, right_of[j]
+            while right is not None and chosen[right] < lt:
+                left, right = right, right_of[right]
+        else:
+            left, right = left_of[j], j
+            while left is not None and chosen[left] > lt:
+                left, right = left_of[left], left
+        lo = 0 if left is None else chosen[left] + 1
+        hi = n if right is None else chosen[right]
+        lo, hi = _improve(xm, a, lt, z, lo, hi)
+        update(lo, hi)
+        rank = len(chosen)
+        label[lo:hi] = rank
         chosen.append(lt)
+        left_of.append(left)
+        right_of.append(right)
+        if left is not None:
+            right_of[left] = rank
+        if right is not None:
+            left_of[right] = rank
         writes += hi - lo - 1
     stats = SeedingStats(total_updates=writes, draws=len(chosen) - 1)
-    del tree, a  # the leaves are n masses; free them before the scatter
+    # the leaves are n masses; free them before the scatter, with the bound
+    # methods that would keep the tree alive
+    del tree, a, find, update
 
     chosen_arr = np.array(chosen, dtype=np.intp)
     assignment = np.empty(n, dtype=np.intp)

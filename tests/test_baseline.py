@@ -882,6 +882,28 @@ class TestCentersOfMass:
         assert peak <= 8 * n + 4 * (2 * n + 1) + 1.5 * centers.nbytes
 
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_sparse_lift_copies_no_stored_values(self, weighted):
+        # 2e6 stored values: a copy of X to CSC would hold 24 MB of them; the
+        # lift holds the one-hot in CSC and CSR, the k x d sums as CSR and
+        # the dense means
+        n, k, d = 20_000, 2000, 200
+        rng = np.random.default_rng(10)
+        pts = as_dataset(sp.random(n, d, density=0.5, format="csr", random_state=11))
+        sigma = np.arange(n) % k
+        weights = rng.random(n) + 0.5 if weighted else None
+        tracemalloc.start()
+        try:
+            centers, _ = centers_of_mass(pts, sigma, k, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.nnz == 2_000_000
+        assert peak <= 2 * 16 * n + 20 * k * d + 2**17
+        want, _ = per_column_centers_of_mass(pts.points, sigma, k, weights)
+        np.testing.assert_array_equal(centers, want)
+
+
 class TestLloyd:
     def test_hand_example(self):
         data = as_dataset([[0.0], [2.0], [10.0]])

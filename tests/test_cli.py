@@ -258,6 +258,32 @@ class TestOverflowingCosts:
         assert not out.exists()
 
 
+class TestOverflowIsOneErrorLine:
+    """Run without an ``errstate``: tier-1 turns any warning into an exception."""
+
+    # costs past float64 in the power (1e102), in the sums of finite powers
+    # (6e76), and squared distances past it in the nearest pass (1e160)
+    @pytest.mark.parametrize("separation", [1e102, 6e76, 1e160])
+    @pytest.mark.parametrize("command", [
+        ("cluster", "--algo", "prone"),
+        ("cluster", "--algo", "kmeanspp"),
+        ("cluster", "--algo", "boosted", "--alpha", 0.5),
+        ("bench", "--suite", "direct", "--ks", 2, "--reps", 1),
+    ])
+    def test_stderr_is_the_error_line(self, command, separation, tmp_path, capsys):
+        data, _ = gen_gaussian_mixture(4, 50, 3, separation, rng=0)
+        path = tmp_path / "big.csv"
+        write_dense_csv(data, path)
+        if command[0] == "cluster":
+            io = ("--input", path, "--k", 2, "--output", tmp_path / "o")
+        else:
+            io = ("--dataset", path, "--out", tmp_path / "o.jsonl")
+        code = run_cli(*command, *io, "--z", 4)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "must be finite" in err
+
+
 class TestLabelsFile:
     def test_one_line_per_point_as_one_join_would_write(self, tmp_path, capsys):
         # k > 256 gives labels outside CPython's small-int cache, and

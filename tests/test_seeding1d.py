@@ -1,5 +1,6 @@
 """Tests for 1-D seeding: worked examples, fast == naive oracle equivalence, distribution law."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prone._util import mass_values, power_abs
+from prone import seeding1d
+from prone._util import _BLOCK_VALUES, mass_values, power_abs
 from prone.seeding1d import (
-    _WINDOW,
+    _SIDE,
     _improve,
     SamplingTree,
     SeedingStats,
@@ -339,21 +341,41 @@ def scan_right_reference(xs, a, center, z):
     return j - 1, writes
 
 
-# runs that end just inside the window, at its edge, one past it, at the
-# fallback scan's first block boundary, and at the array's end
-_RUN_EDGES = [0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, _WINDOW + 511, _WINDOW + 512, _WINDOW + 513]
+def window_bounds(a, center, kind):
+    """A range [lo, hi) that holds the improved run around ``center``.
+
+    ``ends`` is the whole array; ``neighbours`` stops short of the nearest
+    point of mass 0 on each side, as the seeder's neighbouring centers do;
+    ``one point`` is the center alone, after zeroing the masses beside it.
+    """
+    n = a.size
+    if kind == "ends":
+        return 0, n
+    if kind == "one point":
+        a[max(center - 1, 0) : center + 2] = 0.0
+        return center, center + 1
+    zeros = np.flatnonzero(a == 0.0)
+    below, above = zeros[zeros < center], zeros[zeros > center]
+    return (int(below[-1]) + 1 if below.size else 0), (int(above[0]) if above.size else n)
 
 
 @st.composite
 def scan_instances(draw):
-    n = draw(st.one_of(st.integers(1, 2 * _WINDOW), st.integers(2 * _WINDOW + 1, 2 * _WINDOW + 1400)))
+    # a small cut and block reach the fallback scan, and several of its
+    # blocks, at small n; the seeder's own sizes are among the draws
+    side = draw(st.sampled_from([1, 2, 3, 16, 256, _SIDE]))
+    block = draw(st.sampled_from([1, 2, 7, 512, _BLOCK_VALUES]))
+    # runs that end just inside the cut, at it, one past it, at the fallback
+    # scan's first block boundary, and at the array's end
+    edges = [0, 1, side - 1, side, side + 1, side + block - 1, side + block, side + block + 1]
+    n = draw(st.one_of(st.integers(1, 2 * side), st.integers(1, 1400)))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         xs = np.sort(gen.integers(0, max(n // 16, 2), n).astype(np.float64))  # ties
     else:
         xs = np.sort(gen.standard_normal(n) * 10.0 ** draw(st.integers(-3, 2)))
-    # centers near the ends, including windows that stop one point short of either end
-    near_end = [0, _WINDOW, _WINDOW + 1, n - _WINDOW - 2, n - _WINDOW - 1, n - 1]
+    # centers near the ends, including cuts that stop one point short of either end
+    near_end = [0, side, side + 1, n - side - 2, n - side - 1, n - 1]
     center = draw(st.one_of(st.sampled_from([min(max(c, 0), n - 1) for c in near_end]), st.integers(0, n - 1)))
     z = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     runs = None
@@ -363,26 +385,31 @@ def scan_instances(draw):
         a = np.min([power_abs(xs - xs[p], z) for p in prior], axis=0)
     else:
         # every point improvable except one stop per side
-        run_len = st.one_of(st.sampled_from(_RUN_EDGES + [n]), st.integers(0, n))
+        run_len = st.one_of(st.sampled_from(edges + [n]), st.integers(0, n))
         runs = draw(run_len), draw(run_len)
         a = np.full(n, 1e300)
         if center - runs[0] - 1 >= 0:
             a[center - runs[0] - 1] = 0.0
         if center + runs[1] + 1 < n:
             a[center + runs[1] + 1] = 0.0
+    kind = draw(st.sampled_from(["ends", "neighbours", "one point"]))
+    if kind == "one point":
+        runs = None if runs is None else (0, 0)
     a[center] = 0.0
-    return xs, a, center, z, runs
+    lo, hi = window_bounds(a, center, kind)
+    return xs, a, center, z, runs, (lo, hi), (side, block)
 
 
 class TestWindowScan:
     @settings(max_examples=400, deadline=None)
     @given(scan_instances())
     def test_matches_outward_scans(self, case):
-        xs, a, center, z, runs = case
+        xs, a, center, z, runs, window, (side, block) = case
         expect = a.copy()
         lo, w_left = scan_left_reference(xs, expect, center, z)
         last, w_right = scan_right_reference(xs, expect, center, z)
-        got_lo, got_hi = _improve(xs, a, center, z)
+        with mock.patch.object(seeding1d, "_SIDE", side), mock.patch.object(seeding1d, "_BLOCK_VALUES", block):
+            got_lo, got_hi = _improve(xs, a, center, z, *window)
         assert (got_lo, got_hi) == (lo, last + 1)
         assert got_hi - got_lo - 1 == w_left + w_right
         assert a.tobytes() == expect.tobytes()
@@ -390,22 +417,168 @@ class TestWindowScan:
             assert lo == max(center - runs[0], 0)
             assert last == min(center + runs[1], xs.size - 1)
 
+    def test_window_and_blocks_hold_at_most_the_block_budget(self):
+        # a run over every point from the middle: the window is cut to
+        # _SIDE points a side, and the scans go on in blocks of the budget
+        n = 3 * _BLOCK_VALUES
+        xs = np.arange(n, dtype=np.float64)
+        a = np.full(n, np.inf)
+        a[n // 2] = 0.0
+        sizes = []
+        powered = seeding1d._powered
+
+        def recorded(values, c, z):
+            sizes.append(values.size)
+            return powered(values, c, z)
+
+        with mock.patch.object(seeding1d, "_powered", recorded):
+            assert _improve(xs, a, n // 2, 2.0, 0, n) == (0, n)
+        assert sizes[0] == 2 * _SIDE == _BLOCK_VALUES
+        assert max(sizes) == _BLOCK_VALUES and sum(sizes) == n
+
     def test_long_scan_peak_is_bounded(self):
-        # one improving run over 2**20 points (8 MiB of values): the scan's
-        # blocks stop doubling, so its temporaries stay well under 1 MiB
+        # one improving run over 2**20 points (8 MiB of values): the window
+        # and the scan's blocks hold at most 2**16 values, well under 1 MiB
         n = 2**20
         xs = np.arange(n, dtype=np.float64)
         a = np.full(n, np.inf)
         a[0] = 0.0
         tracemalloc.start()
         try:
-            lo, hi = _improve(xs, a, 0, 2.0)
+            lo, hi = _improve(xs, a, 0, 2.0, 0, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (lo, hi) == (0, n)
         assert a.tobytes() == (xs * xs).tobytes()
         assert peak < 2**20
+
+
+def scalar_repairs(xs, draws, z):
+    """Labels and write count of scalar outward walks for the centers ``draws``, in order."""
+    a = power_abs(xs - xs[draws[0]], z)
+    label = np.zeros(xs.size, dtype=np.intp)
+    writes = 0
+    for t, c in enumerate(draws[1:], 1):
+        a[c], label[c] = 0.0, t
+        for step in (-1, 1):
+            i = c + step
+            while 0 <= i < xs.size and power_abs(xs[i : i + 1] - xs[c], z)[0] < a[i]:
+                a[i], label[i] = power_abs(xs[i : i + 1] - xs[c], z)[0], t
+                writes += 1
+                i += step
+    return label, writes
+
+
+class TestNeighbourWindows:
+    """The window between the new center's neighbours, found from its owner's label."""
+
+    # the module docstring's data: the repair for the center at 1 stops at
+    # the tie at index 3, so 2^53+6 keeps the label of the center at 0
+    TIE_STOP = np.array([0.0, 1.0, 2.0**53 + 2, 2.0**53 + 4, 2.0**53 + 6, 2.0**53 + 8, 2.0**53 + 10])
+
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    @pytest.mark.parametrize("draws", [[0, 1, 4], [0, 1, 4, 6, 2], [0, 1, 6, 4], [0, 1, 4, 2, 6, 3]])
+    def test_owner_that_is_not_a_neighbour(self, draws, z):
+        # after the draws 0 and 1, the point at 4 is owned by the center at 0,
+        # with the center at 1 between them: the draw must walk past it
+        xs = self.TIE_STOP
+        assert scalar_repairs(xs, [0, 1], z)[0][4] == 0
+        label, writes = scalar_repairs(xs, draws, z)
+        script = iter(draws[1:])
+        with mock.patch.object(SamplingTree, "find", lambda tree, r: next(script)):
+            res, stats = seed_1d_fast(xs, len(draws), z, rng=np.random.Generator(np.random.Philox(0)))
+        assert res.center_indices.tolist() == draws  # Philox(0) draws index 0 first
+        np.testing.assert_array_equal(res.assignment, label)
+        assert stats.total_updates == writes
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6).map(float) | st.floats(-1e3, 1e3), min_size=1, max_size=60),
+        st.integers(1, 20),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_repairs_match_scalar_walks(self, x, k, z, seed):
+        xs = np.sort(np.asarray(x))
+        res, stats = seed_1d_fast(xs, min(k, xs.size), z, rng=seed)
+        # sorted input with ties: the stable sort keeps the order, so
+        # positions are indices
+        label, writes = scalar_repairs(mass_values(xs, z), res.center_indices.tolist(), z)
+        np.testing.assert_array_equal(res.assignment, label)
+        assert stats.total_updates == writes
+
+
+def input_family(name, n, seed):
+    """n values of one input family, drawn with ``seed``."""
+    gen = np.random.default_rng(seed)
+    if name == "gaussian":
+        return gen.standard_normal(n)
+    if name == "grid":
+        return np.arange(n, dtype=np.float64)
+    if name == "geometric":
+        return 1.0001 ** np.arange(n)
+    if name == "cauchy":
+        return gen.standard_cauchy(n)
+    if name == "lognormal":
+        return gen.lognormal(0.0, 5.0, n)
+    x = gen.standard_normal(n)
+    if name == "two clumps":
+        x[n // 2 :] += 1e6
+    else:  # "outlier"
+        x[0] = 1e12
+    return x
+
+
+FAMILIES = ["gaussian", "grid", "geometric", "cauchy", "lognormal", "two clumps", "outlier"]
+
+
+class TestInputFamilies:
+    """The paper's bounds hold for every input, not only for Gaussian mixtures."""
+
+    @pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fast_equals_naive_with_ties_and_signed_zeros(self, family, z):
+        meta = np.random.default_rng(FAMILIES.index(family))
+        for trial in range(4):
+            x = input_family(family, 200, trial)
+            x[meta.integers(0, 200, 20)] = x[meta.integers(0, 200, 20)]  # ties
+            x[meta.integers(0, 200, 6)] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+            for k in (2, 9, 60, 200):
+                seed = int(meta.integers(2**32))
+                fast, naive = run_both(x, k, z, seed)
+                np.testing.assert_array_equal(fast.center_indices, naive.center_indices)
+                np.testing.assert_array_equal(fast.assignment, naive.assignment)
+                assert fast.exhausted == naive.exhausted
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_writes_at_most_n_ln_n(self, family):
+        # the most any family wrote here was 0.66 n ln n (Gaussian, k = 2e4)
+        n = 200_000
+        x = input_family(family, n, 1)
+        for k in (10, 1000, 20_000):
+            _, stats = seed_1d_fast(x, k, 2.0, rng=k)
+            assert stats.total_updates <= n * math.log(n)
+
+    def test_second_center_law_on_the_geometric_family(self):
+        # as test_04, on 1.0001^i at indices spread over three decades, so
+        # the masses from one first center span eight orders of magnitude
+        pts = 1.0001 ** np.array([0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0])
+        n, runs = pts.size, 40_000
+        rng = np.random.default_rng(424242)
+        counts = np.zeros((n, n), dtype=np.int64)
+        for _ in range(runs):
+            res, _ = seed_1d_fast(pts, 2, z=2.0, rng=rng)
+            counts[res.center_indices[0], res.center_indices[1]] += 1
+        for first in range(n):
+            mass = (pts - pts[first]) ** 2
+            law = mass / mass.sum()
+            group = counts[first].sum()
+            freq = counts[first] / group
+            se = np.sqrt(law * (1.0 - law) / group)
+            assert counts[first, first] == 0
+            others = np.arange(n) != first
+            assert (np.abs(freq - law)[others] <= 3.0 * se[others]).all()
 
 
 class TestRandomStream:
