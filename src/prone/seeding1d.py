@@ -49,16 +49,18 @@ call and advanced by ``rng.random(j)``, so it ends exactly where a scalar
 loop would have left it; callers such as the boosted pipeline keep drawing
 from it.
 
-``seed_1d_naive`` recomputes all n distances after every draw (O(nk)). It
-exists as an oracle: both functions consume randomness identically (one
-uniform integer for the first center, then exactly one uniform real per
-later center, scaled by the current total mass) and share the low-level
-mass arithmetic, so with the same generator state they must return
-identical centers and assignments, which the tests assert index for index.
+``seed_1d_naive`` recomputes all n distances after every draw (O(nk)) and
+assigns points by an argmin over the n x k' table of powered distances. It
+is the oracle, and the two share all but their draw loops: ``_start``
+checks the arguments with the rules in :mod:`prone._util`, sorts and draws
+the first center (one uniform integer), ``_powered`` is the one mass rule
+and ``_result`` builds the result. Each later draw takes one uniform real
+scaled by the total mass, so from one generator state both return the same
+centers, values, assignments and ``exhausted`` and leave the generator in
+the same state, which the tests assert.
 
 If the remaining total mass hits zero before k draws (fewer than k
 distinct values), both return k' < k centers and set ``exhausted``.
-Both check their arguments with the rules in :mod:`prone._util`.
 
 Both compute masses on :func:`~prone._util.mass_values` of the sorted
 points, which rescales values of extreme magnitude by a power of two, so
@@ -164,7 +166,7 @@ class SamplingTree:
 
     It checks nothing from its one caller, :func:`seed_1d_fast`, whose ranges
     index checked points and whose masses are finite and >= 0 by construction
-    (``_validate``, ``mass_values`` below 2^1022, ``power_abs``); a check
+    (``mass_values`` below 2^1022, ``_powered``); a check
     would cost every draw a ``min`` and a ``max``.
     """
 
@@ -248,15 +250,21 @@ class SamplingTree:
         self.last_update_internal_nodes = internal
 
 
-def _validate(points, k: int, z: float) -> np.ndarray:
-    """``points`` as float64 (not copied if they are) once every argument passes."""
+def _start(points, k: int, z: float, rng):
+    """Check points, k, z and the seed, in that order; sort; draw the first center.
+
+    Returns ``(rng, order, xs, xm, first)``: ``xm`` is what the masses are
+    computed on and ``first`` the first center's index into the sorted ``xs``.
+    """
     xs = as_float64(points, "points")
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("points must be a non-empty 1-D array")
     check_finite(xs, "points")
     check_k(k, xs.size)
     check_z(z)
-    return xs
+    rng = as_generator(rng)
+    order, xs = _sort(xs)
+    return rng, order, xs, mass_values(xs, z), int(rng.integers(xs.size))
 
 
 def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,26 +285,14 @@ def _sort(xs_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, xs
 
 
-def _first_masses(xm: np.ndarray, first: int, z: float, out=None) -> np.ndarray:
-    """Masses |x_i - x_first|^z of every point after the first draw.
-
-    Computed in place on one n-length difference array (``out`` if given),
-    shared by both seeders so that they start from bit-identical masses.
-    """
-    a = np.subtract(xm, xm[first], out=out)
-    power_abs(a, z, out=a)
-    a[first] = 0.0
-    return a
-
-
-def _powered(xs: np.ndarray, c: float, z: float) -> np.ndarray:
-    """|xs - c|^z as a new array: one subtraction, then the power in place.
+def _powered(xs: np.ndarray, c, z: float, out=None) -> np.ndarray:
+    """|xs - c|^z, the seeders' one mass rule: one subtraction, then the power in place.
 
     For z = 2 the square is the one ``power_abs`` takes, d * d, without its
     coercion; ``c`` is a Python float, which numpy takes faster than its own
-    scalar.
+    scalar, or naive's array of centers.
     """
-    vals = np.subtract(xs, c)
+    vals = np.subtract(xs, c, out)
     if z == 2:
         return np.multiply(vals, vals, vals)
     return power_abs(vals, z, out=vals)
@@ -373,26 +369,35 @@ def _scan_out(
     return i
 
 
+def _result(order, xs, chosen, labels, exhausted: bool) -> Seeding1DResult:
+    """The seeding result in input order, from sorted indices and labels."""
+    chosen = np.array(chosen, dtype=np.intp)
+    assignment = np.empty(order.size, dtype=np.intp)
+    assignment[order] = labels
+    return Seeding1DResult(
+        center_indices=order[chosen].astype(np.intp),
+        center_values=xs[chosen],
+        assignment=assignment,
+        exhausted=exhausted,
+    )
+
+
 def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DResult, SeedingStats]:
     """Tree-backed 1-D seeding in expected O(n log n) total work."""
-    xs_in = _validate(points, k, z)
-    rng = as_generator(rng)
-    n = xs_in.size
-
-    order, xs = _sort(xs_in)
+    rng, order, xs, xm, first = _start(points, k, z, rng)
     # on CPython >= 3.11 a call hands its arguments to the callee, so an
     # input the caller built in the call expression is freed here, before
     # the tree is allocated
-    del points, xs_in
-    xm = mass_values(xs, z)
+    del points
+    n = xs.size
 
-    first = int(rng.integers(n))
     label = np.zeros(n, dtype=np.int32 if k <= np.iinfo(np.int32).max else np.intp)
     # the tree comes last, so its nodes are the newest large block, freed first
     tree = SamplingTree(n)
     # the masses live in the tree's leaves: the first masses and each repair
     # are written once there, and ``update`` re-sums the written range
-    a = _first_masses(xm, first, z, out=tree._leaves)
+    a = _powered(xm, float(xm[first]), z, tree._leaves)
+    a[first] = 0.0
     tree.update(0, n)
     find, update = tree.find, tree.update
     owner = memoryview(label)  # reads a label as a Python int
@@ -446,17 +451,7 @@ def seed_1d_fast(points, k: int, z: float = 2.0, rng=None) -> tuple[Seeding1DRes
     # the leaves are n masses; free them before the scatter, with the bound
     # methods that would keep the tree alive
     del tree, a, find, update
-
-    chosen_arr = np.array(chosen, dtype=np.intp)
-    assignment = np.empty(n, dtype=np.intp)
-    assignment[order] = label
-    result = Seeding1DResult(
-        center_indices=order[chosen_arr].astype(np.intp),
-        center_values=xs[chosen_arr],
-        assignment=assignment,
-        exhausted=exhausted,
-    )
-    return result, stats
+    return _result(order, xs, chosen, label, exhausted), stats
 
 
 def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
@@ -467,15 +462,9 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
     assignment is the first minimum of the (n, k') table of powered
     distances, with centers in selection order.
     """
-    xs_in = _validate(points, k, z)
-    rng = as_generator(rng)
-    n = xs_in.size
-
-    order, xs = _sort(xs_in)
-    xm = mass_values(xs, z)
-
-    first = int(rng.integers(n))
-    a = _first_masses(xm, first, z)
+    rng, order, xs, xm, first = _start(points, k, z, rng)
+    a = _powered(xm, float(xm[first]), z)
+    a[first] = 0.0
     chosen = [first]
     exhausted = False
 
@@ -485,16 +474,9 @@ def seed_1d_naive(points, k: int, z: float = 2.0, rng=None) -> Seeding1DResult:
             exhausted = True
             break
         lt = int(inverse_cdf(a, rng.random() * total))
-        a = np.minimum(a, power_abs(xm - xm[lt], z))
+        a = np.minimum(a, _powered(xm, float(xm[lt]), z))
         chosen.append(lt)
 
-    chosen_arr = np.array(chosen, dtype=np.intp)
     # argmin takes the first minimum, so ties go to the earliest-chosen center
-    assignment = np.empty(n, dtype=np.intp)
-    assignment[order] = np.argmin(power_abs(xm[:, None] - xm[chosen_arr], z), axis=1)
-    return Seeding1DResult(
-        center_indices=order[chosen_arr].astype(np.intp),
-        center_values=xs[chosen_arr],
-        assignment=assignment,
-        exhausted=exhausted,
-    )
+    labels = np.argmin(_powered(xm[:, None], xm[chosen], z), axis=1)
+    return _result(order, xs, chosen, labels, exhausted)

@@ -127,15 +127,16 @@ class TestFastNaiveEquivalence:
                 dup = meta.integers(0, n, size=n // 2)
                 vals[dup] = vals[dup[0]]  # force duplicate mass
             seed = int(meta.integers(2**32))
-            fast_res, stats = seed_1d_fast(vals, k=k, z=z, rng=np.random.default_rng(seed))
-            naive_res = seed_1d_naive(vals, k=k, z=z, rng=np.random.default_rng(seed))
-            np.testing.assert_array_equal(
-                fast_res.center_indices, naive_res.center_indices, err_msg=f"trial {trial}"
-            )
-            np.testing.assert_array_equal(
-                fast_res.assignment, naive_res.assignment, err_msg=f"trial {trial}"
-            )
+            fast_rng, naive_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast_res, stats = seed_1d_fast(vals, k=k, z=z, rng=fast_rng)
+            naive_res = seed_1d_naive(vals, k=k, z=z, rng=naive_rng)
+            for field in ("center_indices", "center_values", "assignment"):
+                np.testing.assert_array_equal(
+                    getattr(fast_res, field), getattr(naive_res, field), err_msg=f"trial {trial}"
+                )
             assert fast_res.exhausted == naive_res.exhausted
+            # callers such as boosted_prone keep drawing from the generator
+            np.testing.assert_equal(fast_rng.bit_generator.state, naive_rng.bit_generator.state)
             assert stats.total_updates <= n * (k - 1)
 
 
@@ -731,3 +732,30 @@ def test_power_abs_square_matches_abs_square_bitwise():
         expect = np.abs(d) * np.abs(d)
         got = power_abs(d, 2.0)
     assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("z", [1.0, 1.5, 2.0, 3.0, 7.25, 50.0])
+def test_powered_matches_an_independent_power(z):
+    # every mass of both seeders comes from _powered, so the fast/naive
+    # identity cannot catch an error in it: check it against Python's pow
+    rng = np.random.default_rng(int(z * 4))
+    xs = rng.choice([-1.0, 1.0], 3000) * np.exp2(rng.uniform(-100, 100, 3000))
+    xs[:4] = [0.0, -0.0, 0.0, -0.0]
+    eps = np.finfo(np.float64).eps
+    for c in (0.0, -0.0, float(xs[7]), float(xs[8])):
+        d = xs - c
+        with np.errstate(over="ignore", under="ignore"):
+            want = power_abs(d, z)
+            got = seeding1d._powered(xs, c, z)
+            into = seeding1d._powered(xs, c, z, np.empty_like(xs))
+        assert got.tobytes() == want.tobytes() and into.tobytes() == want.tobytes()
+        if z == 1:
+            assert got.tobytes() == np.abs(d).tobytes()
+        if z == 2:
+            assert got.tobytes() == (d * d).tobytes()
+        assert (got[xs == c] == 0.0).all()
+        for di, gi in zip(d.tolist(), got.tolist()):
+            if di == 0.0 or z * abs(math.log2(abs(di))) >= 1000:
+                continue
+            ref = abs(di) ** z
+            assert abs(gi - ref) <= 2 * eps * (1 + z * abs(math.log(abs(di)))) * ref, (di, z)
